@@ -721,7 +721,7 @@ func BenchmarkSolveSP(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			blocks, cost, _, feasible, err := spdecomp.Budgeted(
-				context.Background(), g, pl, spdecomp.Goal{}, 1, 2*time.Millisecond)
+				context.Background(), g, pl, mapping.Goal{MinimizePeriod: true}, 1, 2*time.Millisecond)
 			if err != nil || !feasible || len(blocks) == 0 {
 				b.Fatalf("bad budgeted solve: %v feasible=%v (err=%v)", cost, feasible, err)
 			}

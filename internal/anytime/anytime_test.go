@@ -25,7 +25,7 @@ func TestBoundsUnderlieExhaustiveOptima(t *testing.T) {
 		for _, dp := range []bool{false, true} {
 			p := workflow.RandomPipeline(rng, 1+rng.Intn(4), 9)
 			if res, ok := exhaustive.PipelinePeriod(p, pl, dp); ok {
-				lb := anytime.PipelineLB(p, pl, anytime.Spec{MinimizePeriod: true, AllowDP: dp})
+				lb := anytime.PipelineLB(p, pl, anytime.Spec{Goal: mapping.Goal{MinimizePeriod: true}, AllowDP: dp})
 				if numeric.Greater(lb, res.Cost.Period) {
 					t.Fatalf("pipeline period LB %g > optimum %g (dp=%v, %v on %v)", lb, res.Cost.Period, dp, p, pl)
 				}
@@ -39,7 +39,7 @@ func TestBoundsUnderlieExhaustiveOptima(t *testing.T) {
 
 			f := workflow.RandomFork(rng, 1+rng.Intn(3), 9)
 			if res, ok := exhaustive.ForkPeriod(f, pl, dp); ok {
-				lb := anytime.ForkLB(f, pl, anytime.Spec{MinimizePeriod: true, AllowDP: dp})
+				lb := anytime.ForkLB(f, pl, anytime.Spec{Goal: mapping.Goal{MinimizePeriod: true}, AllowDP: dp})
 				if numeric.Greater(lb, res.Cost.Period) {
 					t.Fatalf("fork period LB %g > optimum %g (dp=%v, %v on %v)", lb, res.Cost.Period, dp, f, pl)
 				}
@@ -53,7 +53,7 @@ func TestBoundsUnderlieExhaustiveOptima(t *testing.T) {
 
 			fj := workflow.RandomForkJoin(rng, 1+rng.Intn(2), 9)
 			if res, ok := exhaustive.ForkJoinPeriod(fj, pl, dp); ok {
-				lb := anytime.ForkJoinLB(fj, pl, anytime.Spec{MinimizePeriod: true, AllowDP: dp})
+				lb := anytime.ForkJoinLB(fj, pl, anytime.Spec{Goal: mapping.Goal{MinimizePeriod: true}, AllowDP: dp})
 				if numeric.Greater(lb, res.Cost.Period) {
 					t.Fatalf("fork-join period LB %g > optimum %g (dp=%v, %v on %v)", lb, res.Cost.Period, dp, fj, pl)
 				}
@@ -76,7 +76,7 @@ func TestPortfolioNeverWorseThanSeeds(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		p := workflow.RandomPipeline(rng, 6+rng.Intn(6), 20)
 		pl := platform.Random(rng, 6+rng.Intn(6), 5)
-		spec := anytime.Spec{MinimizePeriod: trial%2 == 0, AllowDP: true}
+		spec := anytime.Spec{Goal: mapping.Goal{MinimizePeriod: trial%2 == 0}, AllowDP: true}
 		seeds := []mapping.PipelineMapping{
 			mapping.ReplicateAllPipeline(p, pl),
 		}
@@ -92,8 +92,8 @@ func TestPortfolioNeverWorseThanSeeds(t *testing.T) {
 		if !res.Feasible {
 			t.Fatalf("trial %d: infeasible result despite a valid seed", trial)
 		}
-		if numeric.Greater(spec.Objective(res.Cost), spec.Objective(bestSeed)) {
-			t.Errorf("trial %d: portfolio %g worse than seed %g", trial, spec.Objective(res.Cost), spec.Objective(bestSeed))
+		if numeric.Greater(spec.Value(res.Cost), spec.Value(bestSeed)) {
+			t.Errorf("trial %d: portfolio %g worse than seed %g", trial, spec.Value(res.Cost), spec.Value(bestSeed))
 		}
 		if res.Gap < 0 {
 			t.Errorf("trial %d: negative gap %g", trial, res.Gap)
@@ -120,7 +120,7 @@ func TestPortfolioExactMemberCertifies(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		f := workflow.RandomFork(rng, 1+rng.Intn(3), 9)
 		pl := platform.Random(rng, 1+rng.Intn(3), 4)
-		spec := anytime.Spec{MinimizePeriod: true, AllowDP: true}
+		spec := anytime.Spec{Goal: mapping.Goal{MinimizePeriod: true}, AllowDP: true}
 		want, ok := exhaustive.ForkPeriod(f, pl, true)
 		if !ok {
 			t.Fatal("exhaustive found no mapping")
@@ -166,7 +166,7 @@ func TestPortfolioHonoursBoundedSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reachable := anytime.Spec{MinimizePeriod: false, PeriodBound: base.Period * 2, AllowDP: true}
+	reachable := anytime.Spec{Goal: mapping.Goal{MinimizePeriod: false, PeriodCap: base.Period * 2}, AllowDP: true}
 	res, err := anytime.SolveForkJoin(context.Background(), fj, pl, reachable,
 		[]mapping.ForkJoinMapping{all}, anytime.Config{Seed: 5, MaxIterations: 4000})
 	if err != nil {
@@ -175,18 +175,18 @@ func TestPortfolioHonoursBoundedSpec(t *testing.T) {
 	if !res.Feasible {
 		t.Fatal("reachable bound reported infeasible despite a feasible seed")
 	}
-	if numeric.Greater(res.Cost.Period, reachable.PeriodBound) {
-		t.Errorf("result period %g violates bound %g", res.Cost.Period, reachable.PeriodBound)
+	if numeric.Greater(res.Cost.Period, reachable.PeriodCap) {
+		t.Errorf("result period %g violates bound %g", res.Cost.Period, reachable.PeriodCap)
 	}
 
-	unreachable := anytime.Spec{MinimizePeriod: false, PeriodBound: base.Period * 1e-9, AllowDP: true}
+	unreachable := anytime.Spec{Goal: mapping.Goal{MinimizePeriod: false, PeriodCap: base.Period * 1e-9}, AllowDP: true}
 	res, err = anytime.SolveForkJoin(context.Background(), fj, pl, unreachable,
 		[]mapping.ForkJoinMapping{all}, anytime.Config{Seed: 5, MaxIterations: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Feasible {
-		t.Errorf("unreachable bound produced a feasible result with period %g <= %g?", res.Cost.Period, unreachable.PeriodBound)
+		t.Errorf("unreachable bound produced a feasible result with period %g <= %g?", res.Cost.Period, unreachable.PeriodCap)
 	}
 }
 
@@ -200,7 +200,7 @@ func TestPortfolioReturnsIncumbentAtDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := anytime.SolvePipeline(ctx, p, pl, anytime.Spec{MinimizePeriod: true, AllowDP: true},
+	res, err := anytime.SolvePipeline(ctx, p, pl, anytime.Spec{Goal: mapping.Goal{MinimizePeriod: true}, AllowDP: true},
 		[]mapping.PipelineMapping{mapping.ReplicateAllPipeline(p, pl)}, anytime.Config{Seed: 1})
 	if err != nil {
 		t.Fatalf("deadline-bounded portfolio errored: %v", err)
@@ -226,7 +226,7 @@ func TestPortfolioAnswersFromSeedsWhenDeadlineAlreadyExpired(t *testing.T) {
 	p := workflow.RandomPipeline(rng, 10, 9)
 	pl := platform.Random(rng, 8, 4)
 	seeds := []mapping.PipelineMapping{mapping.ReplicateAllPipeline(p, pl)}
-	spec := anytime.Spec{MinimizePeriod: true, AllowDP: true}
+	spec := anytime.Spec{Goal: mapping.Goal{MinimizePeriod: true}, AllowDP: true}
 
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
@@ -255,7 +255,7 @@ func TestPortfolioImprovesOnPoorSeed(t *testing.T) {
 	bad := mapping.PipelineMapping{Intervals: []mapping.PipelineInterval{
 		mapping.NewPipelineInterval(0, 3, mapping.Replicated, 1),
 	}}
-	spec := anytime.Spec{MinimizePeriod: true}
+	spec := anytime.Spec{Goal: mapping.Goal{MinimizePeriod: true}}
 	res, err := anytime.SolvePipeline(context.Background(), p, pl, spec,
 		[]mapping.PipelineMapping{bad}, anytime.Config{Seed: 3, MaxIterations: 5000})
 	if err != nil {

@@ -7,41 +7,13 @@ import (
 	"repliflow/internal/workflow"
 )
 
-// Spec states the optimization target of a portfolio run in cost terms:
-// which criterion is minimized, which bounds constrain feasibility, and
-// whether data-parallel groups are allowed. It is the kind-independent
-// projection of a core.Problem's objective.
+// Spec states the optimization target of a portfolio run: the goal in
+// cost terms (the kind-independent projection of a core.Problem's
+// objective) and whether data-parallel groups are allowed.
 type Spec struct {
-	// MinimizePeriod selects the optimized criterion: the period when
-	// true, the latency otherwise.
-	MinimizePeriod bool
-	// PeriodBound, when > 0, restricts feasible mappings to those with
-	// period <= PeriodBound (the latency-under-period objectives).
-	PeriodBound float64
-	// LatencyBound, when > 0, restricts feasible mappings to those with
-	// latency <= LatencyBound (the period-under-latency objectives).
-	LatencyBound float64
+	mapping.Goal
 	// AllowDP permits data-parallel groups.
 	AllowDP bool
-}
-
-// Objective returns the optimized criterion of a cost.
-func (s Spec) Objective(c mapping.Cost) float64 {
-	if s.MinimizePeriod {
-		return c.Period
-	}
-	return c.Latency
-}
-
-// Feasible reports whether a cost honours the spec's bounds.
-func (s Spec) Feasible(c mapping.Cost) bool {
-	if s.PeriodBound > 0 && numeric.Greater(c.Period, s.PeriodBound) {
-		return false
-	}
-	if s.LatencyBound > 0 && numeric.Greater(c.Latency, s.LatencyBound) {
-		return false
-	}
-	return true
 }
 
 // PeriodLB is the sum-of-work period bound: a set of groups of total

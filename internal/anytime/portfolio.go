@@ -112,7 +112,7 @@ func run[M any](
 	inc := &incumbent.Best[M]{}
 	for _, s := range seeds {
 		if sc, ok := eval(s); ok {
-			inc.Offer(spec, s, sc)
+			inc.Offer(spec.Goal, s, sc)
 		}
 	}
 
@@ -129,7 +129,7 @@ func run[M any](
 		}
 
 		// Already at the bound? No search needed.
-		if _, bc, ok := inc.Snapshot(); ok && numeric.LessEq(spec.Objective(bc), lb) {
+		if _, bc, ok := inc.Snapshot(); ok && numeric.LessEq(spec.Value(bc), lb) {
 			certify()
 		}
 
@@ -143,7 +143,7 @@ func run[M any](
 					return // cancelled or failed: the incumbent stands uncertified
 				}
 				if ex.Feasible {
-					inc.Adopt(spec, fromExact(ex), ex.Cost)
+					inc.Adopt(spec.Goal, fromExact(ex), ex.Cost)
 				} else {
 					provenInfeasible.Store(true)
 				}
@@ -158,7 +158,7 @@ func run[M any](
 			}(w)
 		}
 		wg.Wait()
-	} else if _, bc, ok := inc.Snapshot(); ok && numeric.LessEq(spec.Objective(bc), lb) {
+	} else if _, bc, ok := inc.Snapshot(); ok && numeric.LessEq(spec.Value(bc), lb) {
 		optimal.Store(true) // a seed already proves the bound
 	}
 
@@ -171,7 +171,7 @@ func run[M any](
 		return m, c, res, nil
 	}
 	res.Feasible = true
-	obj := spec.Objective(bc)
+	obj := spec.Value(bc)
 	res.Gap = math.Max(0, obj/lb-1)
 	if optimal.Load() && !provenInfeasible.Load() || numeric.LessEq(obj, lb) {
 		res.Optimal = true
@@ -193,15 +193,15 @@ func anneal[M any](
 ) {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(id)))
 	energy := func(c mapping.Cost) float64 {
-		e := spec.Objective(c)
+		e := spec.Value(c)
 		// Bound violations are penalized proportionally to the lower
 		// bound so infeasible states rank below typical feasible ones
 		// while keeping a gradient toward feasibility.
-		if spec.PeriodBound > 0 && c.Period > spec.PeriodBound {
-			e += lb * (4 + 8*(c.Period/spec.PeriodBound-1))
+		if spec.PeriodCap > 0 && c.Period > spec.PeriodCap {
+			e += lb * (4 + 8*(c.Period/spec.PeriodCap-1))
 		}
-		if spec.LatencyBound > 0 && c.Latency > spec.LatencyBound {
-			e += lb * (4 + 8*(c.Latency/spec.LatencyBound-1))
+		if spec.LatencyCap > 0 && c.Latency > spec.LatencyCap {
+			e += lb * (4 + 8*(c.Latency/spec.LatencyCap-1))
 		}
 		return e
 	}
@@ -248,9 +248,9 @@ func anneal[M any](
 		if e <= curE || (temp > 0 && rng.Float64() < math.Exp((curE-e)/temp)) {
 			cur, curE = cand, e
 		}
-		if inc.Offer(spec, cand, c) {
+		if inc.Offer(spec.Goal, cand, c) {
 			stalled = 0
-			if numeric.LessEq(spec.Objective(c), lb) {
+			if numeric.LessEq(spec.Value(c), lb) {
 				certify() // reached the lower bound: proven optimal
 				return
 			}

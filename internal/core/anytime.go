@@ -17,21 +17,9 @@ import (
 // solve can never return a worse objective than an unbudgeted heuristic
 // one.
 
-// anytimeSpec projects a problem's objective onto the portfolio's
-// cost-level spec.
+// anytimeSpec projects a problem onto the portfolio's spec.
 func anytimeSpec(pr Problem) anytime.Spec {
-	spec := anytime.Spec{AllowDP: pr.AllowDataParallel}
-	switch pr.Objective {
-	case MinPeriod:
-		spec.MinimizePeriod = true
-	case MinLatency:
-	case LatencyUnderPeriod:
-		spec.PeriodBound = pr.Bound
-	default: // PeriodUnderLatency
-		spec.MinimizePeriod = true
-		spec.LatencyBound = pr.Bound
-	}
-	return spec
+	return anytime.Spec{Goal: goalOf(pr), AllowDP: pr.AllowDataParallel}
 }
 
 // anytimeSeedBase derives the portfolio RNG seed from the instance so
@@ -99,7 +87,7 @@ func solvePipelineAnytime(ctx context.Context, pr Problem, opts Options) (Soluti
 		cfg.Exact = func(ctx context.Context) (anytime.Exact, error) {
 			// The portfolio already saturates cores with concurrent
 			// members; its exact member stays serial.
-			res, ok, err := exhaustivePipeline(ctx, pr, 1)
+			res, ok, err := exhaustivePipeline(ctx, pr)
 			if err != nil {
 				return anytime.Exact{}, err
 			}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repliflow/internal/fullmodel"
+	"repliflow/internal/mapping"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
@@ -44,6 +45,21 @@ func (o Objective) String() string {
 // Bounded reports whether the objective carries a threshold.
 func (o Objective) Bounded() bool {
 	return o == LatencyUnderPeriod || o == PeriodUnderLatency
+}
+
+// goalOf projects a problem's objective and bound onto the cost-level
+// goal every search optimizes.
+func goalOf(pr Problem) mapping.Goal {
+	switch pr.Objective {
+	case MinPeriod:
+		return mapping.Goal{MinimizePeriod: true}
+	case MinLatency:
+		return mapping.Goal{}
+	case LatencyUnderPeriod:
+		return mapping.Goal{PeriodCap: pr.Bound}
+	default: // PeriodUnderLatency
+		return mapping.Goal{MinimizePeriod: true, LatencyCap: pr.Bound}
+	}
 }
 
 // Problem is a full instance of the mapping problem: exactly one of the

@@ -3,18 +3,20 @@ package core
 import "runtime"
 
 // Auto-mode crossover thresholds: sharding a search has a fixed fan-out
-// cost (goroutines, per-worker scratch, and for the pipeline DP a
-// full-table level sweep instead of the reachable-state recursion), so
-// negative Parallelism only parallelizes searches whose serial cost
-// dwarfs that overhead. Pipelines qualify once the DP table
-// (stages << procs states) reaches parMinPipelineStates; forks and
-// fork-joins once both the partition item count and the processor count
-// are non-trivial. Explicit positive Parallelism skips the heuristic.
-// The values are documented in docs/performance.md; change both together.
+// cost (goroutines, per-worker scratch, shard prefixes), so negative
+// Parallelism only parallelizes searches whose serial cost dwarfs that
+// overhead. Forks, fork-joins and irreducible SP DAGs qualify once both
+// the partition item count and the processor count are non-trivial; the
+// heterogeneous comm-pipeline scan once it visits parMinCommPipeLeaves
+// complete mappings (see commPipeLeaves), which keeps every instance
+// within the default exhaustive limits serial. Pipelines and reducible SP
+// chains never parallelize: their DP runs serially. Explicit positive
+// Parallelism skips the heuristic. The values are documented in
+// docs/performance.md; change both together.
 const (
-	parMinPipelineStates = 4096
 	parMinForkItems      = 5
 	parMinForkProcs      = 4
+	parMinCommPipeLeaves = 1 << 14
 )
 
 // searchParallelism resolves Options.Parallelism into the concrete

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repliflow/internal/fullmodel"
+	"repliflow/internal/platform"
 )
 
 // TestParallelSolveIdentity is the core-level byte-identity corpus:
@@ -91,5 +94,55 @@ func TestParallelPreparedIdentity(t *testing.T) {
 	}
 	if prepared < 8 {
 		t.Fatalf("only %d/40 trials exercised the prepared path; corpus too weak", prepared)
+	}
+}
+
+// TestCommPipelineCrossover: commPipeLeaves counts the mappings the
+// heterogeneous comm-pipeline scan visits, and auto mode keeps every
+// instance within the default exhaustive limits serial while larger
+// ones shard.
+func TestCommPipelineCrossover(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		for p := 1; p <= 5; p++ {
+			var count func(i, mask int) int
+			count = func(i, mask int) int {
+				if i == n {
+					return 1
+				}
+				total := 0
+				for j := i; j < n; j++ {
+					for u := 0; u < p; u++ {
+						if mask&(1<<u) == 0 {
+							total += count(j+1, mask|1<<u)
+						}
+					}
+				}
+				return total
+			}
+			if got, want := commPipeLeaves(n, p), count(0, 0); got != float64(want) {
+				t.Errorf("commPipeLeaves(%d, %d) = %v, want %d", n, p, got, want)
+			}
+		}
+	}
+	d := Options{}.Normalized()
+	hetComm := func(n, p int) Problem {
+		w := make([]float64, n)
+		data := make([]float64, n+1)
+		speeds := make([]float64, p)
+		for i := range w {
+			w[i] = float64(1 + i%3)
+		}
+		for i := range speeds {
+			speeds[i] = float64(1 + i)
+		}
+		cp := fullmodel.NewPipeline(w, data)
+		return Problem{CommPipeline: &cp, Bandwidth: &fullmodel.Bandwidth{Uniform: 1}, Platform: platform.New(speeds...)}
+	}
+	if pr := hetComm(d.MaxExhaustiveForkStages, d.MaxExhaustiveForkProcs); parallelWorthwhile(pr) {
+		t.Errorf("auto mode shards the largest default-limit comm pipeline (%d stages x %d processors)",
+			d.MaxExhaustiveForkStages, d.MaxExhaustiveForkProcs)
+	}
+	if pr := hetComm(7, 6); !parallelWorthwhile(pr) {
+		t.Error("auto mode keeps a 7 x 6 heterogeneous comm pipeline serial")
 	}
 }

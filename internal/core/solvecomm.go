@@ -31,25 +31,6 @@ func commTable(pr Problem) *fullmodel.PlatTable {
 	return fullmodel.TableFor(pr.Platform.Speeds, *pr.Bandwidth)
 }
 
-// commGoal projects the problem objective onto the fullmodel goal.
-func commGoal(pr Problem) fullmodel.Goal {
-	switch pr.Objective {
-	case MinPeriod:
-		return fullmodel.Goal{MinimizePeriod: true}
-	case MinLatency:
-		return fullmodel.Goal{}
-	case LatencyUnderPeriod:
-		return fullmodel.Goal{PeriodCap: pr.Bound}
-	default: // PeriodUnderLatency
-		return fullmodel.Goal{MinimizePeriod: true, LatencyCap: pr.Bound}
-	}
-}
-
-// commCost converts a fullmodel cost into the solution cost type.
-func commCost(c fullmodel.Cost) mapping.Cost {
-	return mapping.Cost{Period: c.Period, Latency: c.Latency}
-}
-
 // fpBandwidth appends the canonical bandwidth encoding: a flag byte
 // distinguishing the uniform form from full tables, then the values.
 func fpBandwidth(b []byte, bw *fullmodel.Bandwidth) []byte {
@@ -84,12 +65,11 @@ func init() {
 		// tables and candidate set, the het-platform exhaustive its scratch
 		// and memo, the oversized path its heuristic candidate evaluations.
 		Preparable: func(Problem, Options) bool { return true },
-		// Only the het-platform exhaustive scan has a partitioned path; the
+		// Only the het-platform exhaustive scan has a parallel path; the
 		// hom-platform DP is polynomial and stays serial.
 		ParallelWorthwhile: func(pr Problem) bool {
 			return !commPlatform(pr).IsFullyHomogeneous() &&
-				pr.CommPipeline.Stages() >= parMinForkItems &&
-				pr.Platform.Processors() >= parMinForkProcs
+				commPipeLeaves(pr.CommPipeline.Stages(), pr.Platform.Processors()) >= parMinCommPipeLeaves
 		},
 		CandidatePeriods: func(pr Problem) []float64 {
 			return fullmodel.PeriodCandidates(*pr.CommPipeline, commPlatform(pr))
@@ -196,6 +176,21 @@ func commPipeInLimits(pr Problem, opts Options) bool {
 		pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
 }
 
+// commPipeLeaves is the number of complete mappings the heterogeneous
+// comm-pipeline scan visits on n stages and p processors before pruning:
+// k intervals are C(n-1, k-1) ways to cut the chain times p!/(p-k)!
+// injective processor choices, summed over k.
+func commPipeLeaves(n, p int) float64 {
+	var total float64
+	cuts, procs := 1.0, 1.0
+	for k := 1; k <= min(n, p); k++ {
+		procs *= float64(p - k + 1)
+		total += cuts * procs
+		cuts = cuts * float64(n-k) / float64(k)
+	}
+	return total
+}
+
 // commForkInLimits gates the exhaustive one-port fork search.
 func commForkInLimits(pr Problem, opts Options) bool {
 	return pr.CommFork.Leaves()+1 <= opts.MaxExhaustiveForkStages &&
@@ -214,17 +209,17 @@ func commForkCandidatePeriods(pr Problem) []float64 {
 }
 
 // commPipeSolution wraps a comm-pipeline mapping into a Solution.
-func commPipeSolution(m fullmodel.Mapping, c fullmodel.Cost, method Method, exact bool, cl Classification) Solution {
+func commPipeSolution(m fullmodel.Mapping, c mapping.Cost, method Method, exact bool, cl Classification) Solution {
 	return Solution{
-		CommPipelineMapping: &m, Cost: commCost(c),
+		CommPipelineMapping: &m, Cost: c,
 		Method: method, Exact: exact, Feasible: true, Classification: cl,
 	}
 }
 
 // commForkSolution wraps a one-port fork mapping into a Solution.
-func commForkSolution(m fullmodel.ForkMapping, c fullmodel.Cost, method Method, exact bool, cl Classification) Solution {
+func commForkSolution(m fullmodel.ForkMapping, c mapping.Cost, method Method, exact bool, cl Classification) Solution {
 	return Solution{
-		CommForkMapping: &m, Cost: commCost(c),
+		CommForkMapping: &m, Cost: c,
 		Method: method, Exact: exact, Feasible: true, Classification: cl,
 	}
 }
@@ -243,7 +238,7 @@ func methodForCommPipeObjective(o Objective) Method {
 func solveCommPipeHom(_ context.Context, pr Problem, _ Options) (Solution, error) {
 	cl := classificationOf(pr)
 	method := methodForCommPipeObjective(pr.Objective)
-	m, c, ok, err := fullmodel.SolveHom(*pr.CommPipeline, commPlatform(pr), commGoal(pr))
+	m, c, ok, err := fullmodel.SolveHom(*pr.CommPipeline, commPlatform(pr), goalOf(pr))
 	if err != nil {
 		return Solution{}, err
 	}
@@ -258,7 +253,7 @@ func solveCommPipeHom(_ context.Context, pr Problem, _ Options) (Solution, error
 // heuristic seeds.
 func solveCommPipeHard(ctx context.Context, pr Problem, opts Options) (Solution, error) {
 	cl := classificationOf(pr)
-	p, pl, goal := *pr.CommPipeline, commPlatform(pr), commGoal(pr)
+	p, pl, goal := *pr.CommPipeline, commPlatform(pr), goalOf(pr)
 	if commPipeInLimits(pr, opts) {
 		pp, err := fullmodel.NewPipelinePreparedTable(p, commTable(pr))
 		if err != nil {
@@ -276,19 +271,18 @@ func solveCommPipeHard(ctx context.Context, pr Problem, opts Options) (Solution,
 	}
 	cands := fullmodel.HeuristicCandidates(p, pl)
 	costs := make([]mapping.Cost, len(cands))
-	full := make([]fullmodel.Cost, len(cands))
 	for i, m := range cands {
 		c, err := fullmodel.Eval(p, pl, m)
 		if err != nil {
 			return Solution{}, err
 		}
-		costs[i], full[i] = commCost(c), c
+		costs[i] = c
 	}
 	idx, ok := pickBestIndex(costs, pr)
 	if !ok {
 		return infeasible(MethodHeuristic, false, cl), nil
 	}
-	return commPipeSolution(cands[idx], full[idx], MethodHeuristic, false, cl), nil
+	return commPipeSolution(cands[idx], costs[idx], MethodHeuristic, false, cl), nil
 }
 
 // solveCommForkHard solves every one-port fork cell: exhaustively within
@@ -296,7 +290,7 @@ func solveCommPipeHard(ctx context.Context, pr Problem, opts Options) (Solution,
 // finished with its latency-optimal send order).
 func solveCommForkHard(ctx context.Context, pr Problem, opts Options) (Solution, error) {
 	cl := classificationOf(pr)
-	f, pl, goal := *pr.CommFork, commPlatform(pr), commGoal(pr)
+	f, pl, goal := *pr.CommFork, commPlatform(pr), goalOf(pr)
 	if commForkInLimits(pr, opts) {
 		m, c, ok, err := fullmodel.SolveForkExact(ctx, f, pl, goal)
 		if err != nil {
@@ -309,19 +303,18 @@ func solveCommForkHard(ctx context.Context, pr Problem, opts Options) (Solution,
 	}
 	cands := fullmodel.ForkHeuristicCandidates(f, pl)
 	costs := make([]mapping.Cost, len(cands))
-	full := make([]fullmodel.Cost, len(cands))
 	for i, m := range cands {
 		c, err := fullmodel.EvalFork(f, pl, m, false)
 		if err != nil {
 			return Solution{}, err
 		}
-		costs[i], full[i] = commCost(c), c
+		costs[i] = c
 	}
 	idx, ok := pickBestIndex(costs, pr)
 	if !ok {
 		return infeasible(MethodHeuristic, false, cl), nil
 	}
-	return commForkSolution(cands[idx], full[idx], MethodHeuristic, false, cl), nil
+	return commForkSolution(cands[idx], costs[idx], MethodHeuristic, false, cl), nil
 }
 
 // prepareCommPipeHom is the Prepare capability of the polynomial
@@ -337,7 +330,7 @@ func prepareCommPipeHom(pr Problem, _ Options) *PreparedCell {
 	solve := func(_ context.Context, pr2 Problem) (Solution, error) {
 		cl := classificationOf(pr2)
 		method := methodForCommPipeObjective(pr2.Objective)
-		m, c, ok, err := pp.SolveHom(commGoal(pr2))
+		m, c, ok, err := pp.SolveHom(goalOf(pr2))
 		if err != nil {
 			return Solution{}, err
 		}
@@ -352,7 +345,7 @@ func prepareCommPipeHom(pr Problem, _ Options) *PreparedCell {
 // prepareCommPipeHard is the Prepare capability of the NP-hard
 // het-platform comm-pipeline cells: within the exhaustive limits one
 // fullmodel.PipelinePrepared shares the work table, enumeration scratch
-// and per-goal memo (with the optionally partitioned scan), byte-identical
+// and per-goal memo (with the optionally parallel ordered scan), byte-identical
 // to solveCommPipeHard; beyond them the goal-independent heuristic
 // candidate set and its evaluations are computed once, leaving only the
 // per-goal bound check to each solve.
@@ -366,7 +359,7 @@ func prepareCommPipeHard(pr Problem, opts Options) *PreparedCell {
 		pp.SetParallelism(searchParallelism(opts, pr))
 		solve := func(ctx context.Context, pr2 Problem) (Solution, error) {
 			cl := classificationOf(pr2)
-			m, c, ok, err := pp.SolveExact(ctx, commGoal(pr2))
+			m, c, ok, err := pp.SolveExact(ctx, goalOf(pr2))
 			if err != nil {
 				return Solution{}, err
 			}
@@ -379,13 +372,12 @@ func prepareCommPipeHard(pr Problem, opts Options) *PreparedCell {
 	}
 	cands := fullmodel.HeuristicCandidates(p, t.Plat)
 	costs := make([]mapping.Cost, len(cands))
-	full := make([]fullmodel.Cost, len(cands))
 	for i, m := range cands {
 		c, err := fullmodel.Eval(p, t.Plat, m)
 		if err != nil {
 			return nil
 		}
-		costs[i], full[i] = commCost(c), c
+		costs[i] = c
 	}
 	solve := func(_ context.Context, pr2 Problem) (Solution, error) {
 		cl := classificationOf(pr2)
@@ -397,7 +389,7 @@ func prepareCommPipeHard(pr Problem, opts Options) *PreparedCell {
 			Bounds: append([]int(nil), cands[idx].Bounds...),
 			Alloc:  append([]int(nil), cands[idx].Alloc...),
 		}
-		return commPipeSolution(m, full[idx], MethodHeuristic, false, cl), nil
+		return commPipeSolution(m, costs[idx], MethodHeuristic, false, cl), nil
 	}
 	return &PreparedCell{Solve: solve}
 }
@@ -417,7 +409,7 @@ func prepareCommFork(pr Problem, opts Options) *PreparedCell {
 		}
 		solve := func(ctx context.Context, pr2 Problem) (Solution, error) {
 			cl := classificationOf(pr2)
-			m, c, ok, err := fp.SolveExact(ctx, commGoal(pr2))
+			m, c, ok, err := fp.SolveExact(ctx, goalOf(pr2))
 			if err != nil {
 				return Solution{}, err
 			}
@@ -430,13 +422,12 @@ func prepareCommFork(pr Problem, opts Options) *PreparedCell {
 	}
 	cands := fullmodel.ForkHeuristicCandidates(f, t.Plat)
 	costs := make([]mapping.Cost, len(cands))
-	full := make([]fullmodel.Cost, len(cands))
 	for i, m := range cands {
 		c, err := fullmodel.EvalFork(f, t.Plat, m, false)
 		if err != nil {
 			return nil
 		}
-		costs[i], full[i] = commCost(c), c
+		costs[i] = c
 	}
 	solve := func(_ context.Context, pr2 Problem) (Solution, error) {
 		cl := classificationOf(pr2)
@@ -444,7 +435,7 @@ func prepareCommFork(pr Problem, opts Options) *PreparedCell {
 		if !ok {
 			return infeasible(MethodHeuristic, false, cl), nil
 		}
-		return commForkSolution(cloneCommForkMapping(cands[idx]), full[idx], MethodHeuristic, false, cl), nil
+		return commForkSolution(cloneCommForkMapping(cands[idx]), costs[idx], MethodHeuristic, false, cl), nil
 	}
 	return &PreparedCell{Solve: solve}
 }

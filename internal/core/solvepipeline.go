@@ -48,9 +48,6 @@ func init() {
 		Preparable: func(pr Problem, opts Options) bool {
 			return pr.Platform.Processors() <= opts.MaxExhaustivePipelineProcs
 		},
-		ParallelWorthwhile: func(pr Problem) bool {
-			return pr.Pipeline.Stages()<<pr.Platform.Processors() >= parMinPipelineStates
-		},
 		CandidatePeriods: pipelineCandidatePeriods,
 		Anytime:          solvePipelineAnytime,
 		SeedMix: func(pr Problem, mix func(float64)) {
@@ -234,7 +231,7 @@ func solvePipelineHard(ctx context.Context, pr Problem, opts Options) (Solution,
 	pl := pr.Platform
 	cl := classificationOf(pr)
 	if pl.Processors() <= opts.MaxExhaustivePipelineProcs {
-		res, ok, err := exhaustivePipeline(ctx, pr, searchParallelism(opts, pr))
+		res, ok, err := exhaustivePipeline(ctx, pr)
 		if err != nil {
 			return Solution{}, err
 		}
@@ -255,12 +252,10 @@ func solvePipelineHard(ctx context.Context, pr Problem, opts Options) (Solution,
 
 // exhaustivePipeline runs the exact exponential search matching pr's
 // objective — the single dispatch shared by the unbudgeted exact path
-// and the anytime portfolio's exact member. par is the resolved worker
-// count of the partitioned search (<= 1 serial); it never changes the
-// result, only the schedule.
-func exhaustivePipeline(ctx context.Context, pr Problem, par int) (exhaustive.PipelineResult, bool, error) {
+// and the anytime portfolio's exact member. The DP always runs serially:
+// Parallelism has no effect on pipelines.
+func exhaustivePipeline(ctx context.Context, pr Problem) (exhaustive.PipelineResult, bool, error) {
 	pp := exhaustive.NewPipelinePrepared(*pr.Pipeline, pr.Platform, pr.AllowDataParallel)
-	pp.SetParallelism(par)
 	return preparedPipelineDispatch(ctx, pp, pr)
 }
 
@@ -290,7 +285,6 @@ func preparePipelineHard(pr Problem, opts Options) *PreparedCell {
 		return nil
 	}
 	pp := exhaustive.NewPipelinePrepared(*pr.Pipeline, pr.Platform, pr.AllowDataParallel)
-	pp.SetParallelism(searchParallelism(opts, pr))
 	solve := func(ctx context.Context, pr Problem) (Solution, error) {
 		res, ok, err := preparedPipelineDispatch(ctx, pp, pr)
 		if err != nil {
@@ -302,7 +296,7 @@ func preparePipelineHard(pr Problem, opts Options) *PreparedCell {
 		}
 		return pipeSolution(res.Mapping, res.Cost, MethodExhaustive, true, cl), nil
 	}
-	return &PreparedCell{Solve: solve, SetParallelism: pp.SetParallelism}
+	return &PreparedCell{Solve: solve}
 }
 
 // pipelineHeuristicCandidates returns the polynomial heuristic mappings
@@ -338,18 +332,12 @@ func pipelineHeuristicCandidates(pr Problem) ([]mapping.PipelineMapping, []mappi
 // objective among those meeting the bound.
 func pickBestIndex(costs []mapping.Cost, pr Problem) (int, bool) {
 	best := -1
+	goal := goalOf(pr)
 	for i, c := range costs {
-		switch pr.Objective {
-		case LatencyUnderPeriod:
-			if numeric.Greater(c.Period, pr.Bound) {
-				continue
-			}
-		case PeriodUnderLatency:
-			if numeric.Greater(c.Latency, pr.Bound) {
-				continue
-			}
+		if !goal.Feasible(c) {
+			continue
 		}
-		if best < 0 || numeric.Less(objectiveValue(c, pr.Objective), objectiveValue(costs[best], pr.Objective)) {
+		if best < 0 || numeric.Less(goal.Value(c), goal.Value(costs[best])) {
 			best = i
 		}
 	}

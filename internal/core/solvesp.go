@@ -84,20 +84,6 @@ func appendSPFingerprint(pr Problem, b []byte) []byte {
 	return b
 }
 
-// spGoal projects the problem objective onto the block-model goal.
-func spGoal(pr Problem) spdecomp.Goal {
-	switch pr.Objective {
-	case MinPeriod:
-		return spdecomp.Goal{}
-	case MinLatency:
-		return spdecomp.Goal{MinimizeLatency: true}
-	case LatencyUnderPeriod:
-		return spdecomp.Goal{MinimizeLatency: true, PeriodCap: pr.Bound}
-	default: // PeriodUnderLatency
-		return spdecomp.Goal{LatencyCap: pr.Bound}
-	}
-}
-
 // spSubProblem builds the legacy problem of an exact reduction,
 // inheriting platform, objective and bound (the SP kind has no
 // data-parallel model, so the sub-problem stays no-dp).
@@ -231,7 +217,7 @@ func solveSP(ctx context.Context, pr Problem, opts Options) (Solution, error) {
 		}
 		return wrapSPSolution(sol, red, cl), nil
 	}
-	goal := spGoal(pr)
+	goal := goalOf(pr)
 	if spInLimits(pr, opts) {
 		pp, err := spdecomp.NewPrepared(g, pr.Platform)
 		if err != nil {
@@ -270,7 +256,7 @@ func solveSPAnytime(ctx context.Context, pr Problem, opts Options) (Solution, er
 		}
 		return wrapSPSolution(sol, red, cl), nil
 	}
-	goal := spGoal(pr)
+	goal := goalOf(pr)
 	// Within the exhaustive limits, try to certify the true optimum inside
 	// the budget — the SP analogue of the legacy portfolio's exact member.
 	// A budget that expires mid-enumeration falls through to the budgeted
@@ -283,10 +269,7 @@ func solveSPAnytime(ctx context.Context, pr Problem, opts Options) (Solution, er
 			var sol Solution
 			if feasible {
 				sol = spSolution(blocks, cost, MethodAnytime, true, cl)
-				sol.LowerBound = cost.Period
-				if goal.MinimizeLatency {
-					sol.LowerBound = cost.Latency
-				}
+				sol.LowerBound = goal.Value(cost)
 			} else {
 				sol = infeasible(MethodAnytime, true, cl)
 			}
@@ -304,9 +287,9 @@ func solveSPAnytime(ctx context.Context, pr Problem, opts Options) (Solution, er
 	if err != nil {
 		return Solution{}, err
 	}
-	lb, val := periodLB, cost.Period
-	if goal.MinimizeLatency {
-		lb, val = latencyLB, cost.Latency
+	lb, val := latencyLB, goal.Value(cost)
+	if goal.MinimizePeriod {
+		lb = periodLB
 	}
 	sol := Solution{
 		Cost:   cost,
@@ -385,7 +368,7 @@ func prepareSPIrreducible(pr Problem, opts Options) *PreparedCell {
 	inLimits := spInLimits(pr, opts)
 	solve := func(ctx context.Context, pr2 Problem) (Solution, error) {
 		cl := classificationOf(pr2)
-		goal := spGoal(pr2)
+		goal := goalOf(pr2)
 		if inLimits {
 			blocks, cost, ok, err := pp.Exhaustive(ctx, goal)
 			if err != nil {

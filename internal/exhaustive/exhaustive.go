@@ -40,7 +40,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
 )
 
@@ -95,7 +94,7 @@ func (s *stepper) reset(ctx context.Context) {
 // neither divide nor allocate. max feeds the anytime lower bounds used for
 // branch pruning. procs is internal scratch shared by every solver on the
 // table: search loops alias it freely, but any mapping that escapes the
-// package copies it (reconstruct, copyForkMapping) — the table must never
+// package copies it (reconstruct, the enumerators' retain) — the table must never
 // leak into caller-visible results.
 type maskInfo struct {
 	count int
@@ -225,10 +224,4 @@ func groupCosts(w float64, info maskInfo, dataParallel bool) (period, delay floa
 		return c, c
 	}
 	return w / (float64(info.count) * info.min), w / info.min
-}
-
-// dedupSorted sorts values ascending and removes duplicates within the
-// numeric tolerance.
-func dedupSorted(vals []float64) []float64 {
-	return numeric.DedupSorted(vals)
 }

@@ -6,6 +6,7 @@ import (
 
 	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
+	"repliflow/internal/partition"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
@@ -15,7 +16,7 @@ func TestPartitionsCount(t *testing.T) {
 	bell := map[int]int{1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
 	for m, want := range bell {
 		got := 0
-		partitions(make([]int, m), m, m, func([]int, int) bool { got++; return true })
+		partition.From(make([]int, m), m, m, 0, 0, func([]int, int) bool { got++; return true })
 		if got != want {
 			t.Errorf("partitions(%d) = %d, want %d", m, got, want)
 		}
@@ -25,7 +26,7 @@ func TestPartitionsCount(t *testing.T) {
 func TestPartitionsBlockBound(t *testing.T) {
 	// Partitions of 4 items into at most 2 blocks: S(4,1)+S(4,2) = 1+7 = 8.
 	got := 0
-	partitions(make([]int, 4), 4, 2, func(_ []int, blocks int) bool {
+	partition.From(make([]int, 4), 4, 2, 0, 0, func(_ []int, blocks int) bool {
 		if blocks > 2 {
 			t.Fatal("block bound exceeded")
 		}

@@ -2,26 +2,19 @@ package exhaustive
 
 import (
 	"context"
-	"math"
 
 	"repliflow/internal/anytime"
 	"repliflow/internal/mapping"
-	"repliflow/internal/numeric"
+	"repliflow/internal/partition"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
-
-// ForkJoinResult is an optimal fork-join mapping with its exact cost.
-type ForkJoinResult struct {
-	Mapping mapping.ForkJoinMapping
-	Cost    mapping.Cost
-}
 
 // fjEnum is the resettable fork-join enumerator, sharing scratch across
 // runs exactly like forkEnum. Items are ordered root, leaves, join; blocks
 // come from set partitions and processor subsets from disjoint bitmask
 // assignments. The mapping passed to visit aliases the scratch; visitors
-// deep-copy (copyForkJoinMapping) what they retain.
+// deep-copy (retain) what they keep.
 type fjEnum struct {
 	fj      workflow.ForkJoin
 	pl      platform.Platform
@@ -111,21 +104,13 @@ func (e *fjEnum) leafCost(blocks []mapping.ForkJoinBlock) mapping.Cost {
 	return c
 }
 
-// run invokes visit for every valid fork-join mapping, stopping early once
-// the stepper latches a context error or visit returns false.
-func (e *fjEnum) run(ctx context.Context, visit func(mapping.ForkJoinMapping, mapping.Cost) bool) {
-	e.runFrom(ctx, nil, 0, visit)
-}
-
-// runFrom is run restricted to the partitions extending a fixed
-// restricted-growth prefix naming `used` blocks (nil enumerates
-// everything) — the shard unit of the partitioned parallel scan.
-func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, visit func(mapping.ForkJoinMapping, mapping.Cost) bool) {
+// runFrom is forkEnum.runFrom for fork-join mappings.
+func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, visit func(mapping.ForkJoinMapping, mapping.Cost) bool) error {
 	e.step.reset(ctx)
 	full := (1 << e.pl.Processors()) - 1
 	items := e.fj.Leaves() + 2
 	copy(e.assign, prefix)
-	partitionsFrom(e.assign, items, e.pl.Processors(), len(prefix), used, func(assign []int, nblocks int) bool {
+	partition.From(e.assign, items, e.pl.Processors(), len(prefix), used, func(assign []int, nblocks int) bool {
 		blocks := e.blocks[:nblocks]
 		for b := range blocks {
 			blocks[b] = mapping.ForkJoinBlock{}
@@ -193,12 +178,18 @@ func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, visit func
 		}
 		return rec(0, 0)
 	})
+	return e.step.err
 }
 
-// copyForkJoinMapping deep-copies the block, leaf and processor slices
-// of a scratch mapping (Procs are copied out of the shared platform
-// table exactly as in copyForkMapping: on retention, not per visit).
-func copyForkJoinMapping(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
+func (e *fjEnum) clone(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
+	m.Blocks = append([]mapping.ForkJoinBlock(nil), m.Blocks...)
+	return m
+}
+
+// retain deep-copies the block, leaf and processor slices of a scratch
+// mapping (Procs are copied out of the shared platform table exactly as
+// in forkEnum.retain: on retention, not per visit).
+func (e *fjEnum) retain(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
 	blocks := make([]mapping.ForkJoinBlock, len(m.Blocks))
 	copy(blocks, m.Blocks)
 	for i := range blocks {
@@ -211,181 +202,28 @@ func copyForkJoinMapping(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
 // EnumerateForkJoin invokes visit for every valid fork-join mapping. Each
 // visited mapping is an independent copy the visitor may retain.
 func EnumerateForkJoin(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, visit func(mapping.ForkJoinMapping, mapping.Cost)) {
-	newFJEnum(fj, pl, allowDP).run(context.Background(), func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
-		visit(copyForkJoinMapping(m), c)
+	e := newFJEnum(fj, pl, allowDP)
+	e.runFrom(context.Background(), nil, 0, func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
+		visit(e.retain(m), c)
 		return true
 	})
-}
-
-// scan enumerates all mappings keeping the best acceptable one. lb prunes
-// exactly as in forkEnum.scan: reaching it aborts the scan without
-// changing the result (ties never replace the incumbent); lb <= 0
-// disables pruning.
-func (e *fjEnum) scan(ctx context.Context,
-	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkJoinResult, bool, error) {
-	var best ForkJoinResult
-	found := false
-	e.run(ctx, func(m mapping.ForkJoinMapping, c mapping.Cost) bool {
-		if !accept(c) {
-			return true
-		}
-		if !found || numeric.Less(objective(c), objective(best.Cost)) {
-			best = ForkJoinResult{Mapping: copyForkJoinMapping(m), Cost: c}
-			found = true
-			if lb > 0 && numeric.LessEq(objective(best.Cost), lb) {
-				return false
-			}
-		}
-		return true
-	})
-	if e.step.err != nil {
-		return ForkJoinResult{}, false, e.step.err
-	}
-	return best, found, nil
-}
-
-// forkJoinScan is a one-shot scan on a fresh enumerator.
-func forkJoinScan(ctx context.Context, fj workflow.ForkJoin, pl platform.Platform, allowDP bool,
-	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkJoinResult, bool, error) {
-	return newFJEnum(fj, pl, allowDP).scan(ctx, accept, objective, lb)
-}
-
-// fjMemo is one memoized scan result of a prepared fork-join solver.
-type fjMemo struct {
-	res ForkJoinResult
-	ok  bool
-}
-
-func (m fjMemo) clone() (ForkJoinResult, bool) {
-	res := m.res
-	res.Mapping.Blocks = append([]mapping.ForkJoinBlock(nil), res.Mapping.Blocks...)
-	return res, m.ok
 }
 
 // ForkJoinPrepared is the fork-join analogue of ForkPrepared: shared
 // enumeration scratch, per-objective anytime bounds computed once, and
-// bound-keyed memos. Byte-identical to the one-shot functions; not safe
+// goal-keyed memos. Byte-identical to the one-shot functions; not safe
 // for concurrent use.
 type ForkJoinPrepared struct {
-	fj      workflow.ForkJoin
-	pl      platform.Platform
-	allowDP bool
-	enum    *fjEnum
-	par     int
-
-	lbPeriod, lbLatency   float64
-	hasLBp, hasLBl        bool
-	periodM, latencyM     fjMemo
-	hasPeriod, hasLatency bool
-	lup, pul              map[uint64]fjMemo
+	blockPrepared[mapping.ForkJoinMapping]
 }
 
 // NewForkJoinPrepared returns a prepared solver for the triple.
 func NewForkJoinPrepared(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) *ForkJoinPrepared {
-	return &ForkJoinPrepared{
-		fj: fj, pl: pl, allowDP: allowDP,
-		enum: newFJEnum(fj, pl, allowDP),
-		lup:  make(map[uint64]fjMemo),
-		pul:  make(map[uint64]fjMemo),
-	}
-}
-
-// SetParallelism sets the worker count of subsequent solves exactly as
-// ForkPrepared.SetParallelism does: above 1 runs the partitioned
-// parallel scan, results stay byte-identical, and the prepared solver
-// remains single-owner.
-func (fp *ForkJoinPrepared) SetParallelism(workers int) {
-	fp.par = workers
-}
-
-// scan dispatches one bounded scan to the serial enumerator or, when
-// parallelism is enabled, the partitioned scan.
-func (fp *ForkJoinPrepared) scan(ctx context.Context,
-	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkJoinResult, bool, error) {
-	if fp.par > 1 {
-		return parForkJoinScan(ctx, fp.fj, fp.pl, fp.allowDP, fp.par, accept, objective, lb)
-	}
-	return fp.enum.scan(ctx, accept, objective, lb)
-}
-
-func (fp *ForkJoinPrepared) periodLB() float64 {
-	if !fp.hasLBp {
-		fp.lbPeriod = anytime.ForkJoinLB(fp.fj, fp.pl, anytime.Spec{MinimizePeriod: true, AllowDP: fp.allowDP})
-		fp.hasLBp = true
-	}
-	return fp.lbPeriod
-}
-
-func (fp *ForkJoinPrepared) latencyLB() float64 {
-	if !fp.hasLBl {
-		fp.lbLatency = anytime.ForkJoinLB(fp.fj, fp.pl, anytime.Spec{AllowDP: fp.allowDP})
-		fp.hasLBl = true
-	}
-	return fp.lbLatency
-}
-
-// Period solves MinPeriod.
-func (fp *ForkJoinPrepared) Period(ctx context.Context) (ForkJoinResult, bool, error) {
-	if !fp.hasPeriod {
-		res, ok, err := fp.scan(ctx, acceptAll, period, fp.periodLB())
-		if err != nil {
-			return ForkJoinResult{}, false, err
-		}
-		fp.periodM = fjMemo{res: res, ok: ok}
-		fp.hasPeriod = true
-	}
-	res, ok := fp.periodM.clone()
-	return res, ok, nil
-}
-
-// Latency solves MinLatency.
-func (fp *ForkJoinPrepared) Latency(ctx context.Context) (ForkJoinResult, bool, error) {
-	if !fp.hasLatency {
-		res, ok, err := fp.scan(ctx, acceptAll, latency, fp.latencyLB())
-		if err != nil {
-			return ForkJoinResult{}, false, err
-		}
-		fp.latencyM = fjMemo{res: res, ok: ok}
-		fp.hasLatency = true
-	}
-	res, ok := fp.latencyM.clone()
-	return res, ok, nil
-}
-
-// LatencyUnderPeriod solves min-latency under the period bound; repeated
-// bounds are answered from the memo.
-func (fp *ForkJoinPrepared) LatencyUnderPeriod(ctx context.Context, maxPeriod float64) (ForkJoinResult, bool, error) {
-	key := math.Float64bits(maxPeriod)
-	m, hit := fp.lup[key]
-	if !hit {
-		res, ok, err := fp.scan(ctx,
-			func(c mapping.Cost) bool { return numeric.LessEq(c.Period, maxPeriod) }, latency, fp.latencyLB())
-		if err != nil {
-			return ForkJoinResult{}, false, err
-		}
-		m = fjMemo{res: res, ok: ok}
-		fp.lup[key] = m
-	}
-	res, ok := m.clone()
-	return res, ok, nil
-}
-
-// PeriodUnderLatency solves min-period under the latency bound; repeated
-// bounds are answered from the memo.
-func (fp *ForkJoinPrepared) PeriodUnderLatency(ctx context.Context, maxLatency float64) (ForkJoinResult, bool, error) {
-	key := math.Float64bits(maxLatency)
-	m, hit := fp.pul[key]
-	if !hit {
-		res, ok, err := fp.scan(ctx,
-			func(c mapping.Cost) bool { return numeric.LessEq(c.Latency, maxLatency) }, period, fp.periodLB())
-		if err != nil {
-			return ForkJoinResult{}, false, err
-		}
-		m = fjMemo{res: res, ok: ok}
-		fp.pul[key] = m
-	}
-	res, ok := m.clone()
-	return res, ok, nil
+	return &ForkJoinPrepared{newBlockPrepared(fj.Leaves()+2, pl.Processors(),
+		func() blockEnum[mapping.ForkJoinMapping] { return newFJEnum(fj, pl, allowDP) },
+		func(minimizePeriod bool) float64 {
+			return anytime.ForkJoinLB(fj, pl, anytime.Spec{Goal: mapping.Goal{MinimizePeriod: minimizePeriod}, AllowDP: allowDP})
+		})}
 }
 
 // ForkJoinPeriod returns a fork-join mapping minimizing the period.

@@ -2,13 +2,10 @@ package exhaustive
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
-	"repliflow/internal/mapping"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
@@ -18,43 +15,6 @@ import (
 // parallel paths (SetParallelism on prepared solvers bypasses core's
 // crossover heuristic) and compare whole results — mapping, cost and
 // found flag — against fresh serial solvers with reflect.DeepEqual.
-
-// TestParallelShardsTileEnumeration pins the foundation the
-// deterministic merge rests on: the shards of shardPartitions, scanned
-// in shard index order, visit exactly the serial enumeration's mapping
-// sequence — same mappings, same costs, same order.
-func TestParallelShardsTileEnumeration(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	ctx := context.Background()
-	for trial := 0; trial < 10; trial++ {
-		f := workflow.RandomFork(rng, 1+rng.Intn(4), 9)
-		pl := platform.Random(rng, 1+rng.Intn(3), 4)
-		dp := trial%2 == 0
-
-		type visit struct {
-			m mapping.ForkMapping
-			c mapping.Cost
-		}
-		var serial []visit
-		newForkEnum(f, pl, dp).run(ctx, func(m mapping.ForkMapping, c mapping.Cost) bool {
-			serial = append(serial, visit{copyForkMapping(m), c})
-			return true
-		})
-
-		var sharded []visit
-		e := newForkEnum(f, pl, dp)
-		for _, sh := range shardPartitions(f.Leaves()+1, pl.Processors(), 2+rng.Intn(30)) {
-			e.runFrom(ctx, sh.assign, sh.used, func(m mapping.ForkMapping, c mapping.Cost) bool {
-				sharded = append(sharded, visit{copyForkMapping(m), c})
-				return true
-			})
-		}
-		if !reflect.DeepEqual(serial, sharded) {
-			t.Fatalf("trial %d: shards do not tile the serial enumeration (%d serial vs %d sharded visits) for %v on %v dp=%v",
-				trial, len(serial), len(sharded), f, pl, dp)
-		}
-	}
-}
 
 // TestParallelForkScanIdentity: the partitioned fork scan returns
 // byte-identical results to the serial scan, across objectives, bounds
@@ -128,81 +88,5 @@ func TestParallelForkJoinScanIdentity(t *testing.T) {
 		check("latency", func(fp *ForkJoinPrepared) (ForkJoinResult, bool, error) { return fp.Latency(ctx) })
 		check("lup", func(fp *ForkJoinPrepared) (ForkJoinResult, bool, error) { return fp.LatencyUnderPeriod(ctx, b) })
 		check("pul", func(fp *ForkJoinPrepared) (ForkJoinResult, bool, error) { return fp.PeriodUnderLatency(ctx, b) })
-	}
-}
-
-// TestParallelPipelineSweepIdentity: the level-synchronous parallel DP
-// sweep fills a table bit-equal to the serial recursion's — same values,
-// same recorded choices, so the same reconstructed mapping — across
-// objectives, period caps and worker counts. A second solve on the same
-// prepared instance exercises the epoch reset under the sweep.
-func TestParallelPipelineSweepIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	ctx := context.Background()
-	for trial := 0; trial < 20; trial++ {
-		p := workflow.RandomPipeline(rng, 1+rng.Intn(6), 9)
-		pl := platform.Random(rng, 1+rng.Intn(4), 4)
-		dp := trial%2 == 0
-		par := 2 + rng.Intn(3)
-		b := float64(1+rng.Intn(8)) / 2
-
-		check := func(name string, solve func(pp *PipelinePrepared) (PipelineResult, bool, error)) {
-			t.Helper()
-			sp := NewPipelinePrepared(p, pl, dp)
-			want, wantOK, err := solve(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pp := NewPipelinePrepared(p, pl, dp)
-			pp.SetParallelism(par)
-			got, gotOK, err := solve(pp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotOK != wantOK || !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d %s par=%d: parallel (%v, %v) != serial (%v, %v) for %v on %v dp=%v",
-					trial, name, par, got, gotOK, want, wantOK, p, pl, dp)
-			}
-		}
-		check("period", func(pp *PipelinePrepared) (PipelineResult, bool, error) { return pp.Period(ctx) })
-		check("latency", func(pp *PipelinePrepared) (PipelineResult, bool, error) { return pp.Latency(ctx) })
-		check("lup", func(pp *PipelinePrepared) (PipelineResult, bool, error) { return pp.LatencyUnderPeriod(ctx, b) })
-		check("pul", func(pp *PipelinePrepared) (PipelineResult, bool, error) { return pp.PeriodUnderLatency(ctx, b) })
-		check("lup-then-period", func(pp *PipelinePrepared) (PipelineResult, bool, error) {
-			if _, _, err := pp.LatencyUnderPeriod(ctx, b); err != nil {
-				return PipelineResult{}, false, err
-			}
-			return pp.Period(ctx)
-		})
-	}
-}
-
-// TestParallelScanCancellationPrompt: cancelling the context of a
-// partitioned scan must stop every shard worker promptly — the solve on
-// an instance whose full scan takes seconds returns with ctx.Err() in a
-// small fraction of that. The infeasible period bound makes accept
-// reject everything, so neither the incumbent bound nor the anytime
-// lower bound can end the scan early on its own.
-func TestParallelScanCancellationPrompt(t *testing.T) {
-	f := workflow.NewFork(5, 7, 3, 9, 4, 6, 2, 8)
-	pl := platform.New(5, 4, 3, 2, 1)
-	fp := NewForkPrepared(f, pl, true)
-	fp.SetParallelism(4)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, found, err := fp.LatencyUnderPeriod(ctx, 0.01)
-	elapsed := time.Since(start)
-	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled parallel scan returned (found=%v, err=%v), want context.Canceled", found, err)
-	}
-	// The full scan runs for seconds; a prompt stop is orders of
-	// magnitude faster even under the race detector.
-	if elapsed > 3*time.Second {
-		t.Fatalf("parallel scan took %v to honor cancellation", elapsed)
 	}
 }

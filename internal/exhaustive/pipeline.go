@@ -3,8 +3,6 @@ package exhaustive
 import (
 	"context"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repliflow/internal/anytime"
 	"repliflow/internal/mapping"
@@ -14,10 +12,7 @@ import (
 )
 
 // PipelineResult is an optimal mapping together with its exact cost.
-type PipelineResult struct {
-	Mapping mapping.PipelineMapping
-	Cost    mapping.Cost
-}
+type PipelineResult = Result[mapping.PipelineMapping]
 
 // pipeChoice records the decision taken in a DP state for reconstruction.
 type pipeChoice struct {
@@ -58,9 +53,6 @@ type pipeSolver struct {
 	// prune disables the bound cutoffs when false (the regression tests
 	// compare pruned against unpruned searches byte for byte).
 	prune bool
-	// par is the worker count of the parallel level sweep; <= 1 keeps the
-	// serial top-down recursion (see solveParallel for the contract).
-	par int
 }
 
 func newPipeSolver(ctx context.Context, p workflow.Pipeline, pl platform.Platform, allowDP bool, periodCap float64, minimizePeriod bool) *pipeSolver {
@@ -213,166 +205,6 @@ search:
 	return best
 }
 
-// evalState runs the candidate loops of one DP state and returns its
-// value and recorded choice; ok is false once the stepper latches a
-// cancellation. It is the parallel level sweep's copy of the state
-// logic in solve, with the recursion replaced by the child callback (a
-// completed-memo lookup) and cancellation polled through the worker's
-// own stepper. The loops MUST stay line-for-line in sync with solve —
-// the serial recursion keeps its direct calls because the indirect
-// child call costs ~30% on the DP hot path — and the parallel identity
-// corpus pins the two schedules to bit-equal values and choices for
-// every state.
-func (s *pipeSolver) evalState(i, usedMask int, st *stepper, child func(i, mask int) float64) (float64, pipeChoice, bool) {
-	best := numeric.Inf
-	var bestChoice pipeChoice
-	free := s.full &^ usedMask
-	lb := s.stateLB(i, free)
-	cap := s.periodCap
-	minP := s.minimizePeriod
-	wi := s.p.Weights[i]
-search:
-	for sub := free; sub > 0; sub = (sub - 1) & free {
-		if !st.ok() {
-			return numeric.Inf, pipeChoice{}, false
-		}
-		info := &s.info[sub]
-		// Replicated intervals i..j, weight growing with j.
-		w := 0.0
-		for j := i; j < s.n; j++ {
-			w += s.p.Weights[j]
-			period := w * info.perInv
-			if numeric.Greater(period, cap) {
-				break // larger intervals only raise the period
-			}
-			group := period
-			if !minP {
-				group = w * info.invMin // delay
-			}
-			if numeric.GreaterEq(group, best) {
-				break // cannot improve: both max and sum combine monotonically
-			}
-			rest := child(j+1, usedMask|sub)
-			total := group + rest
-			if minP {
-				total = rest
-				if group > rest {
-					total = group
-				}
-			}
-			if numeric.Less(total, best) {
-				best = total
-				bestChoice = pipeChoice{last: j, sub: sub, dp: false}
-				if lb >= 0 && numeric.LessEq(best, lb) {
-					// The state reached its lower bound: no candidate
-					// can strictly improve, and ties never replace the
-					// recorded choice.
-					break search
-				}
-			}
-		}
-		if s.allowDP {
-			// Data-parallel is legal for single-stage groups only: stage i
-			// alone on the subset.
-			c := wi * info.invSum
-			if !numeric.Greater(c, cap) && !numeric.GreaterEq(c, best) {
-				rest := child(i+1, usedMask|sub)
-				total := c + rest
-				if minP {
-					total = rest
-					if c > rest {
-						total = c
-					}
-				}
-				if numeric.Less(total, best) {
-					best = total
-					bestChoice = pipeChoice{last: i, sub: sub, dp: true}
-					if lb >= 0 && numeric.LessEq(best, lb) {
-						break search
-					}
-				}
-			}
-		}
-	}
-	return best, bestChoice, true
-}
-
-// parChunk is how many DP states a sweep worker claims per fetch of the
-// shared level counter: enough to amortize the atomic increment, few
-// enough that the expensive low-population masks spread across workers.
-const parChunk = 32
-
-// solveParallel fills the DP table bottom-up, one stage level at a time:
-// a state at level i only reads states at levels > i, so all masks of a
-// level are independent and compute concurrently — workers claim
-// contiguous mask chunks from a shared counter (work stealing by
-// construction: a worker that finishes its chunk immediately claims the
-// next), with a barrier between levels giving the happens-before edge
-// the next level's reads need. Each worker polls cancellation through
-// its own stepper; the shared solver stepper stays untouched until the
-// root state.
-//
-// Determinism: every state's value and choice come from evalState, the
-// same loops the serial recursion runs, and they depend only on deeper
-// levels — never on sibling order — so the table, the root value and the
-// reconstructed mapping are byte-identical to serial. The sweep computes
-// every mask, including states the top-down recursion never reaches;
-// that extra work is why small instances stay serial (core's auto mode
-// applies a crossover heuristic before enabling the sweep).
-func (s *pipeSolver) solveParallel() float64 {
-	ctx := s.step.ctx
-	nmasks := 1 << s.pbits
-	child := func(i, mask int) float64 {
-		if i == s.n {
-			return 0
-		}
-		return s.memo[i<<s.pbits|mask]
-	}
-	var cancelled atomic.Bool
-	for i := s.n - 1; i >= 1; i-- {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < s.par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				st := newStepper(ctx)
-				for {
-					lo := int(next.Add(parChunk)) - parChunk
-					if lo >= nmasks || cancelled.Load() {
-						return
-					}
-					hi := min(lo+parChunk, nmasks)
-					for mask := lo; mask < hi; mask++ {
-						v, ch, ok := s.evalState(i, mask, st, child)
-						if !ok {
-							cancelled.Store(true)
-							return
-						}
-						id := i<<s.pbits | mask
-						s.memo[id] = v
-						s.choice[id] = ch
-						s.visited[id] = s.epoch
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if cancelled.Load() {
-			s.step.err = ctx.Err()
-			return numeric.Inf
-		}
-	}
-	v, ch, ok := s.evalState(0, 0, s.step, child)
-	if !ok {
-		return numeric.Inf
-	}
-	s.memo[0] = v
-	s.choice[0] = ch
-	s.visited[0] = s.epoch
-	return v
-}
-
 // reconstruct rebuilds the optimal mapping from the recorded choices.
 // Procs slices are copied out of the platform table here — once per
 // returned mapping, never in the search loops — so callers own (and may
@@ -398,12 +230,7 @@ func (s *pipeSolver) reconstruct() mapping.PipelineMapping {
 }
 
 func (s *pipeSolver) result() (PipelineResult, bool, error) {
-	var v float64
-	if s.par > 1 && s.n > 0 {
-		v = s.solveParallel()
-	} else {
-		v = s.solve(0, 0)
-	}
+	v := s.solve(0, 0)
 	if s.step.err != nil {
 		return PipelineResult{}, false, s.step.err
 	}
@@ -461,17 +288,6 @@ func NewPipelinePrepared(p workflow.Pipeline, pl platform.Platform, allowDP bool
 		s:   newPipeSolver(context.Background(), p, pl, allowDP, numeric.Inf, true),
 		lup: make(map[uint64]pipeMemo),
 	}
-}
-
-// SetParallelism sets the worker count of subsequent solves: counts
-// above 1 select the level-synchronous parallel DP sweep, anything else
-// the serial recursion. Results are byte-identical either way (see
-// solveParallel), so the per-bound memos may freely mix entries computed
-// at different counts. The prepared solver itself remains single-owner:
-// parallelism fans out inside one solve, it does not make the solver
-// safe for concurrent use.
-func (pp *PipelinePrepared) SetParallelism(workers int) {
-	pp.s.par = workers
 }
 
 // clone returns a result whose interval slice is independent of the memo,
@@ -630,7 +446,7 @@ func pipelinePeriodCandidates(p workflow.Pipeline, pl platform.Platform, allowDP
 			}
 		}
 	}
-	return dedupSorted(vals)
+	return numeric.DedupSorted(vals)
 }
 
 // PipelinePeriodUnderLatency returns a mapping minimizing the period among

@@ -18,6 +18,24 @@ import (
 // ties never replace an incumbent. These tests are the regression
 // oracle for that argument, on randomized corpora across objectives.
 
+// forkScan and forkJoinScan are one-shot serial scans on a fresh
+// enumerator, with an explicit lower bound (0 = unpruned).
+func forkScan(ctx context.Context, f workflow.Fork, pl platform.Platform, allowDP bool,
+	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkResult, bool, error) {
+	enums := []blockEnum[mapping.ForkMapping]{newForkEnum(f, pl, allowDP)}
+	return scanBlocks(ctx, enums, nil, f.Leaves()+1, pl.Processors(), accept, objective, lb)
+}
+
+func forkJoinScan(ctx context.Context, fj workflow.ForkJoin, pl platform.Platform, allowDP bool,
+	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkJoinResult, bool, error) {
+	enums := []blockEnum[mapping.ForkJoinMapping]{newFJEnum(fj, pl, allowDP)}
+	return scanBlocks(ctx, enums, nil, fj.Leaves()+2, pl.Processors(), accept, objective, lb)
+}
+
+func acceptAll(mapping.Cost) bool    { return true }
+func period(c mapping.Cost) float64  { return c.Period }
+func latency(c mapping.Cost) float64 { return c.Latency }
+
 func TestPipelinePruningIsByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 40; trial++ {

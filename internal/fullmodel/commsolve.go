@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 
+	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
 )
 
@@ -105,53 +106,26 @@ func (f Fork) IsHomogeneous() bool {
 	return true
 }
 
-// Goal selects the optimized metric and the caps of a communication-aware
-// solve: minimize one metric subject to optional caps (0 = unbounded).
-type Goal struct {
-	MinimizePeriod bool
-	PeriodCap      float64
-	LatencyCap     float64
-}
-
-func (g Goal) feasible(c Cost) bool {
-	if g.PeriodCap > 0 && numeric.Greater(c.Period, g.PeriodCap) {
-		return false
-	}
-	if g.LatencyCap > 0 && numeric.Greater(c.Latency, g.LatencyCap) {
-		return false
-	}
-	return true
-}
-
-func (g Goal) value(c Cost) float64 {
-	if g.MinimizePeriod {
-		return c.Period
-	}
-	return c.Latency
-}
-
 // SolveHom optimizes a comm-aware pipeline on a fully homogeneous
 // platform for any of the four objectives, via the Subhlok-Vondran style
 // dynamic programs: the latency-under-period DP directly, and binary
 // search over the finite candidate period set for the period objectives.
 // ok is false when a cap is infeasible.
-func SolveHom(p Pipeline, pl Platform, goal Goal) (Mapping, Cost, bool, error) {
+func SolveHom(p Pipeline, pl Platform, goal mapping.Goal) (Mapping, mapping.Cost, bool, error) {
 	pp, err := NewPipelinePrepared(p, pl)
 	if err != nil {
-		return Mapping{}, Cost{}, false, err
+		return Mapping{}, mapping.Cost{}, false, err
 	}
 	return pp.SolveHom(goal)
 }
 
-func goalNeedsPeriodSearch(goal Goal) bool { return goal.MinimizePeriod }
-
 // SolveExact exhaustively optimizes the heterogeneous comm-aware pipeline
 // for any objective, with context cancellation. Exponential in p;
 // intended for small platforms (the exhaustive dispatch limits).
-func SolveExact(ctx context.Context, p Pipeline, pl Platform, goal Goal) (Mapping, Cost, bool, error) {
+func SolveExact(ctx context.Context, p Pipeline, pl Platform, goal mapping.Goal) (Mapping, mapping.Cost, bool, error) {
 	pp, err := NewPipelinePrepared(p, pl)
 	if err != nil {
-		return Mapping{}, Cost{}, false, err
+		return Mapping{}, mapping.Cost{}, false, err
 	}
 	return pp.SolveExact(ctx, goal)
 }
@@ -217,10 +191,10 @@ func HeuristicCandidates(p Pipeline, pl Platform) []Mapping {
 // evaluates each mapping with the latency-optimal send order (the period
 // is send-order independent, so one order per assignment suffices for
 // both metrics). Runs under the flexible model of EvalFork.
-func SolveForkExact(ctx context.Context, f Fork, pl Platform, goal Goal) (ForkMapping, Cost, bool, error) {
+func SolveForkExact(ctx context.Context, f Fork, pl Platform, goal mapping.Goal) (ForkMapping, mapping.Cost, bool, error) {
 	fp, err := NewForkPrepared(f, pl)
 	if err != nil {
-		return ForkMapping{}, Cost{}, false, err
+		return ForkMapping{}, mapping.Cost{}, false, err
 	}
 	return fp.SolveExact(ctx, goal)
 }
@@ -309,7 +283,7 @@ func PeriodCandidates(p Pipeline, pl Platform) []float64 {
 						if next == u {
 							continue
 						}
-						cands = append(cands, intervalCost(p, pl, first, last, u, prev, next))
+						cands = append(cands, intervalCost(&p, &pl, first, last, u, prev, next))
 					}
 				}
 			}

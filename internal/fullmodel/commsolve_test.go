@@ -45,8 +45,8 @@ func randomCommPipeline(rng *rand.Rand, n int) Pipeline {
 	return NewPipeline(ws, data)
 }
 
-func allGoals(bound float64) []Goal {
-	return []Goal{
+func allGoals(bound float64) []mapping.Goal {
+	return []mapping.Goal{
 		{MinimizePeriod: true},
 		{},
 		{PeriodCap: bound},
@@ -76,7 +76,7 @@ func TestSolveHomMatchesExact(t *testing.T) {
 			if !hok {
 				continue
 			}
-			if !numeric.Eq(goal.value(hc), goal.value(ec)) {
+			if !numeric.Eq(goal.Value(hc), goal.Value(ec)) {
 				t.Errorf("trial %d goal %+v: hom %v vs exact %v", trial, goal, hc, ec)
 			}
 			if c, err := Eval(p, pl, hm); err != nil || !numeric.Eq(c.Period, hc.Period) || !numeric.Eq(c.Latency, hc.Latency) {
@@ -131,12 +131,12 @@ func TestSolveForkExactValidAndBeatsHeuristics(t *testing.T) {
 			speeds[i] = float64(1 + rng.Intn(4))
 		}
 		pl := Uniform(speeds, float64(1+rng.Intn(4)))
-		for _, goal := range []Goal{{MinimizePeriod: true}, {}} {
+		for _, goal := range []mapping.Goal{{MinimizePeriod: true}, {}} {
 			m, c, ok, err := SolveForkExact(context.Background(), f, pl, goal)
 			if err != nil || !ok {
 				t.Fatalf("SolveForkExact: %v ok=%v", err, ok)
 			}
-			if got, err := EvalFork(f, pl, m, false); err != nil || !numeric.Eq(goal.value(got), goal.value(c)) {
+			if got, err := EvalFork(f, pl, m, false); err != nil || !numeric.Eq(goal.Value(got), goal.Value(c)) {
 				t.Fatalf("trial %d: returned mapping re-evaluates to %v (err %v), cost %v", trial, got, err, c)
 			}
 			for i, h := range ForkHeuristicCandidates(f, pl) {
@@ -144,7 +144,7 @@ func TestSolveForkExactValidAndBeatsHeuristics(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d heuristic %d invalid: %v", trial, i, err)
 				}
-				if numeric.Less(goal.value(hc), goal.value(c)) {
+				if numeric.Less(goal.Value(hc), goal.Value(c)) {
 					t.Errorf("trial %d: heuristic %d cost %v beats exact %v", trial, i, hc, c)
 				}
 			}
@@ -158,7 +158,7 @@ func TestSolveForkExactCancellation(t *testing.T) {
 	pl := Uniform([]float64{3, 2, 1, 4, 2, 1}, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := SolveForkExact(ctx, f, pl, Goal{}); err == nil {
+	if _, _, _, err := SolveForkExact(ctx, f, pl, mapping.Goal{}); err == nil {
 		t.Fatal("cancelled fork solve returned nil error")
 	}
 }
@@ -248,7 +248,7 @@ func TestZeroDataForkSolverMatchesSimplifiedOracle(t *testing.T) {
 		sf := workflow.NewFork(f.Root, f.Weights...)
 
 		for _, minimizePeriod := range []bool{true, false} {
-			_, commCost, ok, err := SolveForkExact(context.Background(), f, pl, Goal{MinimizePeriod: minimizePeriod})
+			_, commCost, ok, err := SolveForkExact(context.Background(), f, pl, mapping.Goal{MinimizePeriod: minimizePeriod})
 			if err != nil || !ok {
 				t.Fatalf("SolveForkExact: %v ok=%v", err, ok)
 			}

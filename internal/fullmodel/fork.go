@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
 )
 
@@ -155,9 +156,9 @@ func (f Fork) blockTimes(pl Platform, b ForkBlock) (compute, out float64) {
 // The period of a processor is the time it spends receiving, computing and
 // sending for one data set (the paper's informal definition); the mapping
 // period is the maximum over processors.
-func EvalFork(f Fork, pl Platform, m ForkMapping, strict bool) (Cost, error) {
+func EvalFork(f Fork, pl Platform, m ForkMapping, strict bool) (mapping.Cost, error) {
 	if err := ValidateFork(f, pl, m); err != nil {
-		return Cost{}, err
+		return mapping.Cost{}, err
 	}
 	return evalForkTrusted(f, pl, m, strict), nil
 }
@@ -166,7 +167,7 @@ func EvalFork(f Fork, pl Platform, m ForkMapping, strict bool) (Cost, error) {
 // that are valid by construction (the exhaustive enumeration, the
 // prepared solvers). Both entry points share this code, so their costs
 // are bit-identical.
-func evalForkTrusted(f Fork, pl Platform, m ForkMapping, strict bool) Cost {
+func evalForkTrusted(f Fork, pl Platform, m ForkMapping, strict bool) mapping.Cost {
 	root := m.Blocks[m.RootBlock]
 	rootIn := f.In / pl.InBand[root.Proc]
 	s0Done := rootIn + f.Root/pl.Speeds[root.Proc]
@@ -185,7 +186,7 @@ func evalForkTrusted(f Fork, pl Platform, m ForkMapping, strict bool) Cost {
 	if strict {
 		sendStart += ownCompute
 	}
-	var c Cost
+	var c mapping.Cost
 	totalSend := 0.0
 	for _, bi := range order {
 		b := m.Blocks[bi]

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
 	"repliflow/internal/workflow"
 )
@@ -242,16 +243,10 @@ func Validate(p Pipeline, pl Platform, m Mapping) error {
 // intervalCost returns the Equation (1) bracket of one interval: input
 // communication + computation + output communication. prev is the
 // processor of the previous interval (-1 = Pin), next the processor of the
-// following interval (-1 = Pout).
-func intervalCost(p Pipeline, pl Platform, first, last, proc, prev, next int) float64 {
-	return intervalCostW(p, pl, p.IntervalWork(first, last), first, last, proc, prev, next)
-}
-
-// intervalCostW is intervalCost with the interval work precomputed. The
-// prepared solvers pass entries of a work table built by the same
-// sequential summation as IntervalWork, so the bracket value is
-// bit-identical either way.
-func intervalCostW(p Pipeline, pl Platform, work float64, first, last, proc, prev, next int) float64 {
+// following interval (-1 = Pout). The graph and platform come by pointer:
+// this runs once per interval of every enumerated mapping, where copying
+// the structs dominated the cost.
+func intervalCost(p *Pipeline, pl *Platform, first, last, proc, prev, next int) float64 {
 	var in float64
 	if prev < 0 {
 		in = p.Data[first] / pl.InBand[proc]
@@ -264,28 +259,22 @@ func intervalCostW(p Pipeline, pl Platform, work float64, first, last, proc, pre
 	} else {
 		out = p.Data[last+1] / pl.Band[proc][next]
 	}
-	return in + work/pl.Speeds[proc] + out
-}
-
-// Cost is the (period, latency) of a mapping.
-type Cost struct {
-	Period  float64
-	Latency float64
+	return in + p.IntervalWork(first, last)/pl.Speeds[proc] + out
 }
 
 // Eval computes Equations (1) and (2) for a validated mapping.
-func Eval(p Pipeline, pl Platform, m Mapping) (Cost, error) {
+func Eval(p Pipeline, pl Platform, m Mapping) (mapping.Cost, error) {
 	if err := Validate(p, pl, m); err != nil {
-		return Cost{}, err
+		return mapping.Cost{}, err
 	}
-	return evalTrusted(p, pl, m), nil
+	return evalTrusted(&p, &pl, m), nil
 }
 
 // evalTrusted is Eval without the validation pass, for mappings that are
 // valid by construction (DP reconstructions, enumeration leaves). Both
 // entry points share this loop, so their costs are bit-identical.
-func evalTrusted(p Pipeline, pl Platform, m Mapping) Cost {
-	var c Cost
+func evalTrusted(p *Pipeline, pl *Platform, m Mapping) mapping.Cost {
+	var c mapping.Cost
 	first := 0
 	for j, end := range m.Bounds {
 		prev, next := -1, -1

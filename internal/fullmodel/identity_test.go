@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repliflow/internal/mapping"
 )
 
 // Byte-identity corpora for the prepared and parallel comm-aware solvers.
@@ -103,7 +105,7 @@ func TestCommPipelinePreparedIdentity(t *testing.T) {
 		for pass := 0; pass < 2; pass++ {
 			for _, goal := range goals {
 				var gm, wm Mapping
-				var gc, wc Cost
+				var gc, wc mapping.Cost
 				var gok, wok bool
 				if hom {
 					gm, gc, gok, err = pp.SolveHom(goal)
@@ -141,7 +143,7 @@ func TestCommForkPreparedIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		goals := []Goal{
+		goals := []mapping.Goal{
 			{MinimizePeriod: true},
 			{},
 			{PeriodCap: float64(3 + rng.Intn(10))},

@@ -7,7 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repliflow/internal/incumbent"
+	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
+	"repliflow/internal/partition"
 )
 
 // Prepared solvers for the communication-aware model. Pareto sweeps and
@@ -134,7 +137,7 @@ func surelyGreater(a, b float64) bool {
 // pipeResult is one memoized comm-pipeline solve.
 type pipeResult struct {
 	m  Mapping
-	c  Cost
+	c  mapping.Cost
 	ok bool
 }
 
@@ -159,11 +162,14 @@ type PipelinePrepared struct {
 	cut      [][]int
 	homCands []float64
 
-	// Heterogeneous enumeration scratch.
-	curBounds, curAlloc []int
+	// walkers holds the heterogeneous enumeration scratch, one per
+	// worker, each built on its worker's goroutine (so the hot scratch
+	// of different workers never shares a cache line); walkers[0]
+	// serves serial solves.
+	walkers []*walker
 
-	memoHom   map[Goal]pipeResult
-	memoExact map[Goal]pipeResult
+	memoHom   map[mapping.Goal]pipeResult
+	memoExact map[mapping.Goal]pipeResult
 }
 
 // NewPipelinePrepared validates the instance once and builds a prepared
@@ -209,13 +215,13 @@ func newPipelinePrepared(p Pipeline, pl Platform, inv []float64) *PipelinePrepar
 		p: p, pl: pl, inv: inv,
 		hom: pl.IsFullyHomogeneous(), n: n,
 		workTbl:   wt,
-		memoHom:   make(map[Goal]pipeResult),
-		memoExact: make(map[Goal]pipeResult),
+		memoHom:   make(map[mapping.Goal]pipeResult),
+		memoExact: make(map[mapping.Goal]pipeResult),
 	}
 }
 
 // SetParallelism sets the worker count of subsequent SolveExact calls;
-// values below two keep the scan serial. The parallel scan folds
+// values below two keep the scan serial. The ordered scan folds
 // deterministically, so the answer is bit-identical either way.
 func (pp *PipelinePrepared) SetParallelism(workers int) { pp.par = workers }
 
@@ -232,9 +238,9 @@ func cloneMapping(m Mapping) Mapping {
 // SolveHom is SolveHom for the prepared instance: the DP tables and the
 // candidate-period set persist across calls, and each goal's result is
 // memoized, so a bi-criteria sweep pays each distinct bound once.
-func (pp *PipelinePrepared) SolveHom(goal Goal) (Mapping, Cost, bool, error) {
+func (pp *PipelinePrepared) SolveHom(goal mapping.Goal) (Mapping, mapping.Cost, bool, error) {
 	if !pp.hom {
-		return Mapping{}, Cost{}, false, errPlatformNotHomogeneous
+		return Mapping{}, mapping.Cost{}, false, errPlatformNotHomogeneous
 	}
 	if r, ok := pp.memoHom[goal]; ok {
 		return cloneMapping(r.m), r.c, r.ok, nil
@@ -247,29 +253,29 @@ func (pp *PipelinePrepared) SolveHom(goal Goal) (Mapping, Cost, bool, error) {
 // lup runs the latency-under-period DP in the reused tables. It shares
 // homLUPInto and evalTrusted with the one-shot path, so reuse cannot
 // change a bit of the result.
-func (pp *PipelinePrepared) lup(maxPeriod float64) (Mapping, Cost, bool) {
+func (pp *PipelinePrepared) lup(maxPeriod float64) (Mapping, mapping.Cost, bool) {
 	if pp.L == nil {
 		pp.L, pp.cut = newHomDP(pp.n, pp.pl.Processors())
 	}
 	m, ok := homLUPInto(pp.p, pp.pl.Speeds[0], pp.pl.InBand[0], pp.n, pp.pl.Processors(), pp.L, pp.cut, maxPeriod)
 	if !ok {
-		return Mapping{}, Cost{}, false
+		return Mapping{}, mapping.Cost{}, false
 	}
-	return m, evalTrusted(pp.p, pp.pl, m), true
+	return m, evalTrusted(&pp.p, &pp.pl, m), true
 }
 
-func (pp *PipelinePrepared) solveHom(goal Goal) (Mapping, Cost, bool) {
-	if !goalNeedsPeriodSearch(goal) {
+func (pp *PipelinePrepared) solveHom(goal mapping.Goal) (Mapping, mapping.Cost, bool) {
+	if !goal.MinimizePeriod {
 		cap := numeric.Inf
 		if goal.PeriodCap > 0 {
 			cap = goal.PeriodCap
 		}
 		m, c, ok := pp.lup(cap)
 		if !ok {
-			return Mapping{}, Cost{}, false
+			return Mapping{}, mapping.Cost{}, false
 		}
 		if goal.LatencyCap > 0 && numeric.Greater(c.Latency, goal.LatencyCap) {
-			return Mapping{}, Cost{}, false
+			return Mapping{}, mapping.Cost{}, false
 		}
 		return m, c, true
 	}
@@ -281,7 +287,7 @@ func (pp *PipelinePrepared) solveHom(goal Goal) (Mapping, Cost, bool) {
 	cands := pp.homCands
 	lo, hi := 0, len(cands)-1
 	var bestM Mapping
-	var bestC Cost
+	var bestC mapping.Cost
 	found := false
 	for lo <= hi {
 		mid := (lo + hi) / 2
@@ -298,10 +304,10 @@ func (pp *PipelinePrepared) solveHom(goal Goal) (Mapping, Cost, bool) {
 		}
 	}
 	if !found {
-		return Mapping{}, Cost{}, false
+		return Mapping{}, mapping.Cost{}, false
 	}
 	if goal.PeriodCap > 0 && numeric.Greater(bestC.Period, goal.PeriodCap) {
-		return Mapping{}, Cost{}, false
+		return Mapping{}, mapping.Cost{}, false
 	}
 	return bestM, bestC, true
 }
@@ -309,38 +315,56 @@ func (pp *PipelinePrepared) solveHom(goal Goal) (Mapping, Cost, bool) {
 // SolveExact is the exhaustive heterogeneous solve for the prepared
 // instance: enumeration scratch and the work table persist across calls,
 // each goal's result is memoized, and with SetParallelism >= 2 the scan
-// partitions across workers with a deterministic fold.
-func (pp *PipelinePrepared) SolveExact(ctx context.Context, goal Goal) (Mapping, Cost, bool, error) {
-	if r, ok := pp.memoExact[goal]; ok {
-		return cloneMapping(r.m), r.c, r.ok, nil
+// runs on several workers through incumbent.Scan. Its shards are the
+// first interval choices (end stage j, processor u) in visit order; a
+// serial scan is one shard holding everything.
+func (pp *PipelinePrepared) SolveExact(ctx context.Context, goal mapping.Goal) (Mapping, mapping.Cost, bool, error) {
+	r, hit := pp.memoExact[goal]
+	if !hit {
+		procs := pp.pl.Processors()
+		nshards := 1
+		if pp.par > 1 {
+			nshards = pp.n * procs
+		}
+		workers := min(max(pp.par, 1), nshards)
+		for len(pp.walkers) < workers {
+			pp.walkers = append(pp.walkers, nil)
+		}
+		var err error
+		r, _, err = incumbent.Scan(ctx, workers, nshards, 0,
+			func(ctx context.Context, w int, sh *incumbent.Shard) (pipeResult, error) {
+				if pp.walkers[w] == nil {
+					pp.walkers[w] = &walker{pp: pp, bounds: make([]int, 0, pp.n), alloc: make([]int, 0, pp.n)}
+				}
+				wk := pp.walkers[w]
+				wk.ctx, wk.goal, wk.sh, wk.best, wk.iter, wk.err = ctx, goal, sh, pipeResult{}, 0, nil
+				wk.bounds, wk.alloc = wk.bounds[:0], wk.alloc[:0]
+				if nshards == 1 {
+					wk.walk(0, 0)
+				} else if j, u := sh.Index()/procs, sh.Index()%procs; !pp.pruneInterval(goal, 0, j, u, sh.Bound()) {
+					wk.bounds = append(wk.bounds, j+1)
+					wk.alloc = append(wk.alloc, u)
+					wk.walk(j+1, 1<<u)
+				}
+				return wk.best, wk.err
+			})
+		if err != nil {
+			return Mapping{}, mapping.Cost{}, false, err
+		}
+		pp.memoExact[goal] = r
 	}
-	var (
-		m     Mapping
-		c     Cost
-		found bool
-		err   error
-	)
-	if pp.par > 1 && pp.n*pp.pl.Processors() >= 2 {
-		m, c, found, err = pp.solveExactPar(ctx, goal)
-	} else {
-		m, c, found, err = pp.solveExactSerial(ctx, goal)
-	}
-	if err != nil {
-		return Mapping{}, Cost{}, false, err
-	}
-	pp.memoExact[goal] = pipeResult{m: m, c: c, ok: found}
-	return cloneMapping(m), c, found, nil
+	return cloneMapping(r.m), r.c, r.ok, nil
 }
 
 // pruneInterval reports whether every completion that places stages i..j
 // on processor u is certainly infeasible (period cap) or certainly worse
-// than the incumbent (period objective): the interval's work over its
-// speed lower-bounds its Equation (1) bracket and hence the mapping
+// than the incumbent bound (period objective): the interval's work over
+// its speed lower-bounds its Equation (1) bracket and hence the mapping
 // period. lbSlack keeps the reciprocal product a true lower bound and
 // surelyGreater clears the comparison tolerance, so pruning only skips
 // candidates the unpruned enumeration would reject — the installed
 // result is bit-identical.
-func (pp *PipelinePrepared) pruneInterval(goal Goal, i, j, u int, bound float64) bool {
+func (pp *PipelinePrepared) pruneInterval(goal mapping.Goal, i, j, u int, bound float64) bool {
 	est := pp.workTbl[i][j] * pp.inv[u] * lbSlack
 	if goal.PeriodCap > 0 && surelyGreater(est, goal.PeriodCap) {
 		return true
@@ -348,76 +372,57 @@ func (pp *PipelinePrepared) pruneInterval(goal Goal, i, j, u int, bound float64)
 	return goal.MinimizePeriod && surelyGreater(est, bound)
 }
 
-func (pp *PipelinePrepared) solveExactSerial(ctx context.Context, goal Goal) (Mapping, Cost, bool, error) {
-	n, procs := pp.n, pp.pl.Processors()
-	if pp.curBounds == nil {
-		pp.curBounds = make([]int, 0, n)
-		pp.curAlloc = make([]int, 0, n)
-	}
-	var (
-		bestM  Mapping
-		bestC  Cost
-		found  bool
-		iter   int
-		ctxErr error
-	)
-	bound := numeric.Inf
-	var walk func(i, mask int)
-	walk = func(i, mask int) {
-		if ctxErr != nil {
-			return
-		}
-		if i == n {
-			iter++
-			if iter%256 == 0 {
-				if err := ctx.Err(); err != nil {
-					ctxErr = err
-					return
-				}
-			}
-			c := evalTrusted(pp.p, pp.pl, Mapping{Bounds: pp.curBounds, Alloc: pp.curAlloc})
-			if !goal.feasible(c) {
+// walker is one worker's comm-pipeline enumeration: the intervals chosen
+// so far and the shard being scanned.
+type walker struct {
+	pp            *PipelinePrepared
+	bounds, alloc []int
+	ctx           context.Context
+	goal          mapping.Goal
+	sh            *incumbent.Shard
+	best          pipeResult
+	iter          int
+	err           error
+}
+
+// walk extends the current intervals from stage i with the processors
+// in mask taken, offering every complete mapping to the shard.
+func (wk *walker) walk(i, mask int) {
+	pp := wk.pp
+	if i == pp.n {
+		if wk.iter++; wk.iter%256 == 0 {
+			if wk.err = wk.ctx.Err(); wk.err != nil {
 				return
 			}
-			if !found || numeric.Less(goal.value(c), goal.value(bestC)) {
-				bestM = Mapping{
-					Bounds: append([]int(nil), pp.curBounds...),
-					Alloc:  append([]int(nil), pp.curAlloc...),
-				}
-				bestC, found = c, true
-				if goal.MinimizePeriod {
-					bound = bestC.Period
-				}
-			}
+		}
+		c := evalTrusted(&pp.p, &pp.pl, Mapping{Bounds: wk.bounds, Alloc: wk.alloc})
+		if !wk.goal.Feasible(c) {
 			return
 		}
-		for j := i; j < n; j++ {
-			for u := 0; u < procs; u++ {
-				if mask&(1<<u) != 0 {
-					continue
-				}
-				if pp.pruneInterval(goal, i, j, u, bound) {
-					continue
-				}
-				pp.curBounds = append(pp.curBounds, j+1)
-				pp.curAlloc = append(pp.curAlloc, u)
-				walk(j+1, mask|1<<u)
-				pp.curBounds = pp.curBounds[:len(pp.curBounds)-1]
-				pp.curAlloc = pp.curAlloc[:len(pp.curAlloc)-1]
+		if install, _ := wk.sh.Offer(wk.goal.Value(c)); install {
+			wk.best = pipeResult{m: cloneMapping(Mapping{Bounds: wk.bounds, Alloc: wk.alloc}), c: c, ok: true}
+		}
+		return
+	}
+	procs := len(pp.pl.Speeds) // not pl.Processors(): its value receiver copies pl per call
+	for j := i; j < pp.n && wk.err == nil; j++ {
+		for u := 0; u < procs; u++ {
+			if mask&(1<<u) != 0 || pp.pruneInterval(wk.goal, i, j, u, wk.sh.Bound()) {
+				continue
 			}
+			wk.bounds = append(wk.bounds, j+1)
+			wk.alloc = append(wk.alloc, u)
+			wk.walk(j+1, mask|1<<u)
+			wk.bounds = wk.bounds[:len(wk.bounds)-1]
+			wk.alloc = wk.alloc[:len(wk.alloc)-1]
 		}
 	}
-	walk(0, 0)
-	if ctxErr != nil {
-		return Mapping{}, Cost{}, false, ctxErr
-	}
-	return bestM, bestC, found, nil
 }
 
 // forkResult is one memoized one-port fork solve.
 type forkResult struct {
 	m  ForkMapping
-	c  Cost
+	c  mapping.Cost
 	ok bool
 }
 
@@ -437,7 +442,7 @@ type ForkPrepared struct {
 	post       []float64
 	order      []int
 
-	memo map[Goal]forkResult
+	memo map[mapping.Goal]forkResult
 }
 
 // NewForkPrepared validates the instance once and builds a prepared
@@ -460,21 +465,16 @@ func NewForkPrepared(f Fork, pl Platform) (*ForkPrepared, error) {
 	}
 	return &ForkPrepared{
 		f: f, pl: pl, n: n,
-		assign:     make([]int, n),
+		assign:     make([]int, n+1),
 		blockProcs: make([]int, maxBlocks),
 		usedProc:   make([]bool, procs),
 		blocks:     make([]ForkBlock, maxBlocks),
 		leafBufs:   leafBufs,
 		post:       make([]float64, 0, maxBlocks),
 		order:      make([]int, 0, maxBlocks),
-		memo:       make(map[Goal]forkResult),
+		memo:       make(map[mapping.Goal]forkResult),
 	}, nil
 }
-
-// SetParallelism is accepted for interface symmetry with the other
-// prepared solvers but keeps the scan serial: fork instances behind the
-// exhaustive limits are small enough that scratch reuse dominates.
-func (fp *ForkPrepared) SetParallelism(workers int) {}
 
 func cloneForkMapping(m ForkMapping) ForkMapping {
 	if m.Blocks == nil {
@@ -496,26 +496,45 @@ func cloneForkMapping(m ForkMapping) ForkMapping {
 // same partition order, same injective processor assignments, same
 // latency-optimal send order (a stable insertion sort reproducing
 // OptimalSendOrder's stable sort) — but reuses all scratch and memoizes
-// per goal, so the installed mapping and cost are bit-identical.
-func (fp *ForkPrepared) SolveExact(ctx context.Context, goal Goal) (ForkMapping, Cost, bool, error) {
+// per goal, so the installed mapping and cost are bit-identical. The
+// partition items are the root (item 0, so always in block 0) and the
+// leaves; the scan is the one-worker ordered scan of incumbent.Scan
+// (fork instances behind the exhaustive limits are small enough that
+// scratch reuse dominates).
+func (fp *ForkPrepared) SolveExact(ctx context.Context, goal mapping.Goal) (ForkMapping, mapping.Cost, bool, error) {
 	if r, ok := fp.memo[goal]; ok {
 		return cloneForkMapping(r.m), r.c, r.ok, nil
 	}
-	n, procs := fp.n, fp.pl.Processors()
+	r, _, err := incumbent.Scan(ctx, 1, 1, 0, func(ctx context.Context, _ int, sh *incumbent.Shard) (forkResult, error) {
+		return fp.scan(ctx, goal, sh)
+	})
+	if err != nil {
+		return ForkMapping{}, mapping.Cost{}, false, err
+	}
+	fp.memo[goal] = r
+	return cloneForkMapping(r.m), r.c, r.ok, nil
+}
+
+// scan enumerates every fork mapping, offering the feasible ones to the
+// shard's install rule.
+func (fp *ForkPrepared) scan(ctx context.Context, goal mapping.Goal, sh *incumbent.Shard) (forkResult, error) {
 	var (
-		bestM  ForkMapping
-		bestC  Cost
-		found  bool
-		iter   int
-		ctxErr error
+		best forkResult
+		iter int
+		err  error
 	)
-	tryAssign := func(blocks int) {
+	tryAssign := func(blocks int) bool {
+		if iter++; iter%128 == 0 {
+			if err = ctx.Err(); err != nil {
+				return false
+			}
+		}
 		m := ForkMapping{RootBlock: 0, Blocks: fp.blocks[:blocks]}
 		for b := 0; b < blocks; b++ {
 			m.Blocks[b] = ForkBlock{Proc: fp.blockProcs[b], Leaves: fp.leafBufs[b][:0]}
 		}
-		for l := 0; l < n; l++ {
-			b := fp.assign[l]
+		for l := 0; l < fp.n; l++ {
+			b := fp.assign[l+1]
 			m.Blocks[b].Leaves = append(m.Blocks[b].Leaves, l)
 		}
 		// Latency-optimal send order: non-root blocks by non-increasing
@@ -536,66 +555,17 @@ func (fp *ForkPrepared) SolveExact(ctx context.Context, goal Goal) (ForkMapping,
 		}
 		m.SendOrder = order
 		c := evalForkTrusted(fp.f, fp.pl, m, false)
-		if !goal.feasible(c) {
-			return
+		if !goal.Feasible(c) {
+			return true
 		}
-		if !found || numeric.Less(goal.value(c), goal.value(bestC)) {
-			bestM, bestC, found = cloneForkMapping(m), c, true
+		install, stop := sh.Offer(goal.Value(c))
+		if install {
+			best = forkResult{m: cloneForkMapping(m), c: c, ok: true}
 		}
+		return !stop
 	}
-	var chooseProcs func(b, blocks int)
-	chooseProcs = func(b, blocks int) {
-		if ctxErr != nil {
-			return
-		}
-		if b == blocks {
-			iter++
-			if iter%128 == 0 {
-				if err := ctx.Err(); err != nil {
-					ctxErr = err
-					return
-				}
-			}
-			tryAssign(blocks)
-			return
-		}
-		for u := 0; u < procs; u++ {
-			if fp.usedProc[u] {
-				continue
-			}
-			fp.usedProc[u] = true
-			fp.blockProcs[b] = u
-			chooseProcs(b+1, blocks)
-			fp.usedProc[u] = false
-		}
-	}
-	var parts func(l, blocks int)
-	parts = func(l, blocks int) {
-		if ctxErr != nil {
-			return
-		}
-		if l == n {
-			chooseProcs(0, blocks)
-			return
-		}
-		limit := blocks
-		if blocks < procs {
-			limit = blocks + 1
-		}
-		for b := 0; b < limit; b++ {
-			fp.assign[l] = b
-			nb := blocks
-			if b == blocks {
-				nb = blocks + 1
-			}
-			parts(l+1, nb)
-		}
-	}
-	// blocks starts at 1: the root block always exists even with no leaf.
-	parts(0, 1)
-	if ctxErr != nil {
-		return ForkMapping{}, Cost{}, false, ctxErr
-	}
-	fp.memo[goal] = forkResult{m: bestM, c: bestC, ok: found}
-	return cloneForkMapping(bestM), bestC, found, nil
+	partition.From(fp.assign, fp.n+1, fp.pl.Processors(), 0, 0, func(_ []int, blocks int) bool {
+		return partition.Injective(fp.blockProcs, fp.usedProc, blocks, func() bool { return tryAssign(blocks) })
+	})
+	return best, err
 }

@@ -3,6 +3,7 @@ package fullmodel
 import (
 	"math"
 
+	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
 )
 
@@ -26,22 +27,22 @@ func homIntervalCost(p Pipeline, s, b float64, first, last int) float64 {
 // Equation (1) bracket being at most maxPeriod, on a fully homogeneous
 // platform. It returns the optimal mapping (processors 0..m-1 in interval
 // order) or ok=false when the bound is infeasible. Complexity O(n²·p).
-func HomLatencyUnderPeriod(p Pipeline, pl Platform, maxPeriod float64) (Mapping, Cost, bool, error) {
+func HomLatencyUnderPeriod(p Pipeline, pl Platform, maxPeriod float64) (Mapping, mapping.Cost, bool, error) {
 	if err := p.Validate(); err != nil {
-		return Mapping{}, Cost{}, false, err
+		return Mapping{}, mapping.Cost{}, false, err
 	}
 	if err := pl.Validate(); err != nil {
-		return Mapping{}, Cost{}, false, err
+		return Mapping{}, mapping.Cost{}, false, err
 	}
 	if !pl.IsFullyHomogeneous() {
-		return Mapping{}, Cost{}, false, errPlatformNotHomogeneous
+		return Mapping{}, mapping.Cost{}, false, errPlatformNotHomogeneous
 	}
 	s, b := pl.Speeds[0], pl.InBand[0]
 	n, maxQ := p.Stages(), pl.Processors()
 	L, cut := newHomDP(n, maxQ)
 	m, ok := homLUPInto(p, s, b, n, maxQ, L, cut, maxPeriod)
 	if !ok {
-		return Mapping{}, Cost{}, false, nil
+		return Mapping{}, mapping.Cost{}, false, nil
 	}
 	c, err := Eval(p, pl, m)
 	if err != nil {
@@ -133,26 +134,26 @@ func homPeriodCandidates(p Pipeline, s, b float64) []float64 {
 // HomPeriod minimizes Equation (1) on a fully homogeneous platform by
 // binary search over the finite candidate set with the latency DP as the
 // feasibility check.
-func HomPeriod(p Pipeline, pl Platform) (Mapping, Cost, error) {
+func HomPeriod(p Pipeline, pl Platform) (Mapping, mapping.Cost, error) {
 	if err := p.Validate(); err != nil {
-		return Mapping{}, Cost{}, err
+		return Mapping{}, mapping.Cost{}, err
 	}
 	if err := pl.Validate(); err != nil {
-		return Mapping{}, Cost{}, err
+		return Mapping{}, mapping.Cost{}, err
 	}
 	if !pl.IsFullyHomogeneous() {
-		return Mapping{}, Cost{}, errPlatformNotHomogeneous
+		return Mapping{}, mapping.Cost{}, errPlatformNotHomogeneous
 	}
 	cands := homPeriodCandidates(p, pl.Speeds[0], pl.InBand[0])
 	lo, hi := 0, len(cands)-1
 	var bestM Mapping
-	var bestC Cost
+	var bestC mapping.Cost
 	found := false
 	for lo <= hi {
 		mid := (lo + hi) / 2
 		m, c, ok, err := HomLatencyUnderPeriod(p, pl, cands[mid])
 		if err != nil {
-			return Mapping{}, Cost{}, err
+			return Mapping{}, mapping.Cost{}, err
 		}
 		if ok {
 			bestM, bestC = m, c
@@ -170,10 +171,10 @@ func HomPeriod(p Pipeline, pl Platform) (Mapping, Cost, error) {
 
 // HomLatency minimizes Equation (2) on a fully homogeneous platform
 // (no period constraint).
-func HomLatency(p Pipeline, pl Platform) (Mapping, Cost, error) {
+func HomLatency(p Pipeline, pl Platform) (Mapping, mapping.Cost, error) {
 	m, c, ok, err := HomLatencyUnderPeriod(p, pl, numeric.Inf)
 	if err != nil {
-		return Mapping{}, Cost{}, err
+		return Mapping{}, mapping.Cost{}, err
 	}
 	if !ok {
 		panic("fullmodel: unconstrained latency DP infeasible")
@@ -198,12 +199,12 @@ func (errHomogeneous) Error() string {
 // obviously correct). minimizePeriod selects the objective; periodCap
 // bounds every bracket (use numeric.Inf for none). Exponential in p;
 // intended for p <= ~8.
-func ExactSolve(p Pipeline, pl Platform, minimizePeriod bool, periodCap float64) (Mapping, Cost, bool, error) {
+func ExactSolve(p Pipeline, pl Platform, minimizePeriod bool, periodCap float64) (Mapping, mapping.Cost, bool, error) {
 	if err := p.Validate(); err != nil {
-		return Mapping{}, Cost{}, false, err
+		return Mapping{}, mapping.Cost{}, false, err
 	}
 	if err := pl.Validate(); err != nil {
-		return Mapping{}, Cost{}, false, err
+		return Mapping{}, mapping.Cost{}, false, err
 	}
 	n, procs := p.Stages(), pl.Processors()
 	best := numeric.Inf
@@ -247,7 +248,7 @@ func ExactSolve(p Pipeline, pl Platform, minimizePeriod bool, periodCap float64)
 	}
 	walk(0, 0)
 	if math.IsInf(best, 1) {
-		return Mapping{}, Cost{}, false, nil
+		return Mapping{}, mapping.Cost{}, false, nil
 	}
 	c, err := Eval(p, pl, bestM)
 	if err != nil {

@@ -1,17 +1,19 @@
 // Package incumbent holds the best-so-far state shared by concurrent
-// searches. Two primitives live here so the anytime portfolio and the
-// partitioned exhaustive searches use one implementation:
+// searches, so the anytime portfolio and the exhaustive searches use one
+// implementation:
 //
 //   - Best, a mutex-guarded incumbent mapping with the offer/adopt
 //     protocol of the portfolio members (strict improvement installs,
-//     exact results replace ties), and
+//     exact results replace ties);
 //   - Bound, a lock-free monotonically tightening objective bound that
 //     the shards of a partitioned exhaustive scan share, so a better
-//     incumbent found in one shard prunes every other shard immediately.
-//     Its users are the partitioned pipeline/fork scans of
-//     internal/exhaustive, the sharded SP block search of
-//     internal/spdecomp, and the chunk-claimed comm-pipeline interval
-//     scan of internal/fullmodel.
+//     incumbent found in one shard prunes every other shard immediately;
+//   - Scan, the ordered sharded scan built on Bound (see scan.go). Its
+//     users are every exhaustive partition search: the fork and
+//     fork-join scans of internal/exhaustive, the SP block search of
+//     internal/spdecomp, and the comm-pipeline interval scan and
+//     comm-fork block scan of internal/fullmodel. Serial solves are its
+//     one-worker case.
 package incumbent
 
 import (
@@ -22,14 +24,6 @@ import (
 	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
 )
-
-// Spec is the view of a search specification the incumbent needs:
-// projecting a cost onto the optimized objective and deciding bound
-// feasibility. anytime.Spec satisfies it.
-type Spec interface {
-	Objective(mapping.Cost) float64
-	Feasible(mapping.Cost) bool
-}
 
 // Best is the best-so-far mapping shared by every member of a search.
 // The zero value is ready to use (no incumbent yet).
@@ -43,13 +37,13 @@ type Best[M any] struct {
 // Offer installs a feasible candidate iff it strictly improves the
 // incumbent's objective, reporting whether it did. The caller must not
 // mutate m afterwards.
-func (in *Best[M]) Offer(spec Spec, m M, c mapping.Cost) bool {
-	if !spec.Feasible(c) {
+func (in *Best[M]) Offer(goal mapping.Goal, m M, c mapping.Cost) bool {
+	if !goal.Feasible(c) {
 		return false
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.found && !numeric.Less(spec.Objective(c), spec.Objective(in.c)) {
+	if in.found && !numeric.Less(goal.Value(c), goal.Value(in.c)) {
 		return false
 	}
 	in.m, in.c, in.found = m, c, true
@@ -59,10 +53,10 @@ func (in *Best[M]) Offer(spec Spec, m M, c mapping.Cost) bool {
 // Adopt installs an exact optimum unconditionally-on-tie: exact results
 // replace equal-cost incumbents so certified runs return the exact
 // member's mapping.
-func (in *Best[M]) Adopt(spec Spec, m M, c mapping.Cost) {
+func (in *Best[M]) Adopt(goal mapping.Goal, m M, c mapping.Cost) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.found && numeric.Less(spec.Objective(in.c), spec.Objective(c)) {
+	if in.found && numeric.Less(goal.Value(in.c), goal.Value(c)) {
 		return
 	}
 	in.m, in.c, in.found = m, c, true

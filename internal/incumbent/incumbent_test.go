@@ -8,18 +8,11 @@ import (
 	"repliflow/internal/mapping"
 )
 
-// minSpec optimizes the period with no feasibility constraint beyond a
-// period cap.
-type minSpec struct{ cap float64 }
-
-func (s minSpec) Objective(c mapping.Cost) float64 { return c.Period }
-func (s minSpec) Feasible(c mapping.Cost) bool     { return c.Period <= s.cap }
-
 func cost(p float64) mapping.Cost { return mapping.Cost{Period: p, Latency: p} }
 
 func TestBestOfferAdoptSnapshot(t *testing.T) {
 	var b Best[string]
-	spec := minSpec{cap: 10}
+	spec := mapping.Goal{MinimizePeriod: true, PeriodCap: 10}
 
 	if _, _, found := b.Snapshot(); found {
 		t.Fatal("zero Best reports an incumbent")

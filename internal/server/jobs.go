@@ -43,6 +43,14 @@ type job struct {
 	cancel  context.CancelFunc
 	started time.Time
 
+	// persistMu orders the job's store writes; it is taken before mu.
+	// A writer holds it from rendering the record (or appending to the
+	// in-memory front) until the store write returns, so a lease renewal
+	// rendered before a later state change can never land after that
+	// change's own write — an older record overwriting a terminal one,
+	// or a front point lost or written twice.
+	persistMu sync.Mutex
+
 	mu        sync.Mutex
 	status    string
 	finished  time.Time
@@ -341,6 +349,8 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 			Point: func(p engine.SweepPoint) error {
 				out := instance.FromSolution(p.Solution)
 				s.countAnytime(out)
+				j.persistMu.Lock()
+				defer j.persistMu.Unlock()
 				j.mu.Lock()
 				// A recovered job re-proves its preloaded prefix in place;
 				// only points beyond it are new to the store (their prefix
@@ -349,6 +359,9 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 				if fresh {
 					j.front = append(j.front, out)
 				} else {
+					// Copy on write: snapshots alias the front they
+					// were taken from and encode it after unlocking.
+					j.front = append([]instance.SolutionJSON(nil), j.front...)
 					j.front[j.nextPoint] = out
 				}
 				j.nextPoint++

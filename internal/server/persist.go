@@ -122,8 +122,12 @@ func (s *Server) jobRecord(j *job) store.JobRecord {
 	return rec
 }
 
-// persistJob writes the job's current state through to the store.
+// persistJob writes the job's current state through to the store. It
+// serves every write of a live job's whole record — state transitions
+// and the reaper's lease renewals alike — under the job's persistMu.
 func (s *Server) persistJob(j *job) {
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
 	if err := s.store.PutJob(s.jobRecord(j)); err != nil {
 		s.storeErrors.Add(1)
 		return

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -214,5 +216,77 @@ func TestStoreMetricsExposed(t *testing.T) {
 		if !strings.Contains(string(body), name) {
 			t.Errorf("metrics missing %s", name)
 		}
+	}
+}
+
+// renewalBlockingStore holds the first lease renewal of a running job
+// that has already proven a front point until release is closed, and
+// slows every point append so a sweep spans several renewal ticks.
+type renewalBlockingStore struct {
+	store.Store
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *renewalBlockingStore) PutJob(rec store.JobRecord) error {
+	// Only a renewal writes a running record with a front: the other
+	// writes of a fresh job carry no point yet or are terminal.
+	if rec.Status == JobStatusRunning && len(rec.Front) > 0 {
+		first := false
+		b.once.Do(func() { first = true })
+		if first {
+			close(b.entered)
+			<-b.release
+		}
+	}
+	return b.Store.PutJob(rec)
+}
+
+func (b *renewalBlockingStore) AppendFrontPoint(id string, point json.RawMessage) error {
+	time.Sleep(20 * time.Millisecond)
+	return b.Store.AppendFrontPoint(id, point)
+}
+
+// TestLeaseRenewalNeverOverwritesLaterState: a lease renewal whose store
+// write stalls while the job keeps proving points and finishes must not
+// land over the later writes. The final stored record is terminal and
+// holds every front point exactly once.
+func TestLeaseRenewalNeverOverwritesLaterState(t *testing.T) {
+	st := &renewalBlockingStore{Store: store.Mem(), entered: make(chan struct{}), release: make(chan struct{})}
+	s, ts := newTestServer(t, Config{Store: st, LeaseTTL: 30 * time.Millisecond})
+	body := `{"kind": "pareto", "instance": {
+		"pipeline": {"weights": [14, 4, 2, 4, 7, 3]},
+		"platform": {"speeds": [3, 2, 1, 1]},
+		"allowDataParallel": true}}`
+	resp, jr := postJob(t, ts.URL, body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status = %d", resp.StatusCode)
+	}
+	select {
+	case <-st.entered:
+	case <-time.After(20 * time.Second):
+		close(st.release)
+		t.Fatal("no lease renewal ran while the sweep was proving points")
+	}
+	// Give the job every chance to move on while the renewal is stuck.
+	time.Sleep(150 * time.Millisecond)
+	close(st.release)
+
+	done := pollJob(t, ts.URL, jr.ID, "terminal", terminal)
+	deadline := time.Now().Add(10 * time.Second)
+	for s.jobs.active() > 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	rec, ok, err := st.GetJob(jr.ID)
+	if err != nil || !ok {
+		t.Fatalf("stored record: ok=%v err=%v", ok, err)
+	}
+	if !rec.Terminal() {
+		t.Fatalf("stored record is %q after the job finished %q: a stale renewal overwrote it", rec.Status, done.Status)
+	}
+	stored := jobResponseFromRecord(rec).Front
+	if len(done.Front) < 2 || !reflect.DeepEqual(stored, done.Front) {
+		t.Fatalf("stored front has %d points, the job proved %d: points lost or duplicated", len(stored), len(done.Front))
 	}
 }

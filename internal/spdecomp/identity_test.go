@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repliflow/internal/mapping"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
@@ -16,12 +17,12 @@ import (
 // restricted-growth sharded scan must all reproduce the serial one-shot
 // result bit for bit.
 
-func identityGoals(rng *rand.Rand) []Goal {
-	return []Goal{
+func identityGoals(rng *rand.Rand) []mapping.Goal {
+	return []mapping.Goal{
+		{MinimizePeriod: true},
 		{},
-		{MinimizeLatency: true},
-		{PeriodCap: float64(2 + rng.Intn(9))},
-		{MinimizeLatency: true, LatencyCap: float64(5 + rng.Intn(20))},
+		{MinimizePeriod: true, PeriodCap: float64(2 + rng.Intn(9))},
+		{LatencyCap: float64(5 + rng.Intn(20))},
 	}
 }
 

@@ -2,9 +2,10 @@ package spdecomp
 
 import (
 	"context"
-	"errors"
 
+	"repliflow/internal/incumbent"
 	"repliflow/internal/mapping"
+	"repliflow/internal/partition"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
@@ -20,26 +21,25 @@ import (
 type Prepared struct {
 	g  workflow.SP
 	pl platform.Platform
-	st *evalState
 
 	periodLB  float64
 	latencyLB float64
 
 	par int
-
-	// Exhaustive enumeration scratch.
-	assign    []int
-	blockProc []int
-	usedProc  []bool
+	// search holds one enumeration scratch per worker; search[0] serves
+	// serial solves, the rest are built on their worker's goroutine
+	// (so the hot scratch of different workers never shares a cache
+	// line) when parallelism first asks for them.
+	search []*blockSearch
 
 	heur     []Candidate
 	heurDone bool
 
-	memo map[Goal]spMemo
+	memo map[mapping.Goal]spResult
 }
 
-// spMemo is one memoized exhaustive solve.
-type spMemo struct {
+// spResult is one exhaustive solve: the best blocks and their cost.
+type spResult struct {
 	blocks []mapping.SPBlock
 	c      mapping.Cost
 	ok     bool
@@ -48,24 +48,21 @@ type spMemo struct {
 // NewPrepared builds a prepared solver, validating the graph structure
 // once (the same topological-order check the one-shot path performs).
 func NewPrepared(g workflow.SP, pl platform.Platform) (*Prepared, error) {
-	st, err := newEvalState(g, pl)
+	bs, err := newBlockSearch(g, pl)
 	if err != nil {
 		return nil, err
 	}
 	periodLB, latencyLB := Bounds(g, pl)
-	n, p := len(g.Steps), pl.Processors()
 	return &Prepared{
-		g: g, pl: pl, st: st,
+		g: g, pl: pl,
 		periodLB: periodLB, latencyLB: latencyLB,
-		assign:    make([]int, n),
-		blockProc: make([]int, n),
-		usedProc:  make([]bool, p),
-		memo:      make(map[Goal]spMemo),
+		search: []*blockSearch{bs},
+		memo:   make(map[mapping.Goal]spResult),
 	}, nil
 }
 
 // SetParallelism sets the worker count of subsequent Exhaustive calls;
-// values below two keep the scan serial. The partitioned scan folds
+// values below two keep the scan serial. The ordered scan folds
 // deterministically, so the answer is bit-identical either way.
 func (pp *Prepared) SetParallelism(workers int) { pp.par = workers }
 
@@ -73,11 +70,11 @@ func (pp *Prepared) SetParallelism(workers int) { pp.par = workers }
 // metric: once an incumbent reaches it no candidate can strictly improve
 // (beyond the comparison tolerance), and ties resolve to the earlier
 // candidate anyway, so enumeration past it cannot change the result.
-func (pp *Prepared) lowerBound(goal Goal) float64 {
-	if goal.MinimizeLatency {
-		return pp.latencyLB
+func (pp *Prepared) lowerBound(goal mapping.Goal) float64 {
+	if goal.MinimizePeriod {
+		return pp.periodLB
 	}
-	return pp.periodLB
+	return pp.latencyLB
 }
 
 func cloneSPBlocks(bs []mapping.SPBlock) []mapping.SPBlock {
@@ -91,120 +88,103 @@ func cloneSPBlocks(bs []mapping.SPBlock) []mapping.SPBlock {
 	return out
 }
 
-// errStopEnum unwinds the serial enumeration once the incumbent has
-// reached the certified lower bound.
-var errStopEnum = errors.New("spdecomp: enumeration reached the certified bound")
+// blockSearch is one worker's enumeration scratch: the evaluation state,
+// the restricted-growth string, the processor of each block and the
+// injective-assignment marks.
+type blockSearch struct {
+	st        *evalState
+	assign    []int
+	blockProc []int
+	usedProc  []bool
+}
+
+func newBlockSearch(g workflow.SP, pl platform.Platform) (*blockSearch, error) {
+	st, err := newEvalState(g, pl)
+	if err != nil {
+		return nil, err
+	}
+	n := len(g.Steps)
+	return &blockSearch{
+		st:        st,
+		assign:    make([]int, n),
+		blockProc: make([]int, n),
+		usedProc:  make([]bool, pl.Processors()),
+	}, nil
+}
+
+// scan searches the block mappings under one shard prefix: every
+// partition of the steps into blocks on distinct processors
+// (restricted-growth set partitions crossed with injective processor
+// assignments), feeding the feasible ones to the shard's install rule.
+func (bs *blockSearch) scan(ctx context.Context, pre partition.Prefix, goal mapping.Goal, sh *incumbent.Shard) (spResult, error) {
+	st := bs.st
+	n := len(bs.assign)
+	var (
+		best spResult
+		iter int
+		err  error
+	)
+	copy(bs.assign, pre.Assign)
+	partition.From(bs.assign, n, len(bs.usedProc), len(pre.Assign), pre.Used, func(assign []int, blocks int) bool {
+		if iter++; iter%64 == 0 {
+			if err = ctx.Err(); err != nil {
+				return false
+			}
+		}
+		return partition.Injective(bs.blockProc, bs.usedProc, blocks, func() bool {
+			for s := 0; s < n; s++ {
+				st.procOf[s] = bs.blockProc[assign[s]]
+			}
+			c := st.costOf()
+			if !goal.Feasible(c) {
+				return true
+			}
+			install, stop := sh.Offer(goal.Value(c))
+			if install {
+				best = spResult{blocks: st.blocks(), c: c, ok: true}
+			}
+			return !stop
+		})
+	})
+	return best, err
+}
 
 // Exhaustive is the exhaustive block search for the prepared instance:
 // scratch persists across calls, each goal's result is memoized, and
 // with SetParallelism >= 2 the partition space is sharded across workers
-// with a deterministic shard-order fold.
-func (pp *Prepared) Exhaustive(ctx context.Context, goal Goal) ([]mapping.SPBlock, mapping.Cost, bool, error) {
-	if r, ok := pp.memo[goal]; ok {
-		return cloneSPBlocks(r.blocks), r.c, r.ok, nil
-	}
-	var (
-		blocks []mapping.SPBlock
-		c      mapping.Cost
-		found  bool
-		err    error
-	)
-	if pp.par > 1 {
-		blocks, c, found, err = pp.exhaustivePar(ctx, goal)
-	} else {
-		blocks, c, found, err = pp.exhaustiveSerial(ctx, goal)
-	}
-	if err != nil {
-		return nil, mapping.Cost{}, false, err
-	}
-	pp.memo[goal] = spMemo{blocks: blocks, c: c, ok: found}
-	return cloneSPBlocks(blocks), c, found, nil
-}
-
-func (pp *Prepared) exhaustiveSerial(ctx context.Context, goal Goal) ([]mapping.SPBlock, mapping.Cost, bool, error) {
-	st := pp.st
-	n, p := len(pp.g.Steps), pp.pl.Processors()
-	lb := pp.lowerBound(goal)
-	var (
-		best      []mapping.SPBlock
-		bestCost  mapping.Cost
-		found     bool
-		iterSince int
-	)
-	var procs func(k, blocks int) error
-	procs = func(k, blocks int) error {
-		if k == blocks {
-			for s := 0; s < n; s++ {
-				st.procOf[s] = pp.blockProc[pp.assign[s]]
-			}
-			c := st.costOf()
-			if goal.Feasible(c) && (!found || goal.Better(c, bestCost)) {
-				best, bestCost, found = st.blocks(), c, true
-				if goal.Value(bestCost) <= lb {
-					return errStopEnum
+// by the ordered scan of incumbent.Scan.
+func (pp *Prepared) Exhaustive(ctx context.Context, goal mapping.Goal) ([]mapping.SPBlock, mapping.Cost, bool, error) {
+	r, hit := pp.memo[goal]
+	if !hit {
+		shards := partition.Plan(len(pp.g.Steps), pp.pl.Processors(), pp.par)
+		workers := min(max(pp.par, 1), len(shards))
+		for len(pp.search) < workers {
+			pp.search = append(pp.search, nil)
+		}
+		var err error
+		r, _, err = incumbent.Scan(ctx, workers, len(shards), pp.lowerBound(goal),
+			func(ctx context.Context, w int, sh *incumbent.Shard) (spResult, error) {
+				if pp.search[w] == nil {
+					bs, err := newBlockSearch(pp.g, pp.pl)
+					if err != nil {
+						return spResult{}, err
+					}
+					pp.search[w] = bs
 				}
-			}
-			return nil
+				return pp.search[w].scan(ctx, shards[sh.Index()], goal, sh)
+			})
+		if err != nil {
+			return nil, mapping.Cost{}, false, err
 		}
-		for q := 0; q < p; q++ {
-			if pp.usedProc[q] {
-				continue
-			}
-			pp.usedProc[q] = true
-			pp.blockProc[k] = q
-			if err := procs(k+1, blocks); err != nil {
-				return err
-			}
-			pp.usedProc[q] = false
-		}
-		return nil
+		pp.memo[goal] = r
 	}
-	var parts func(s, blocks int) error
-	parts = func(s, blocks int) error {
-		if s == n {
-			iterSince++
-			if iterSince >= 64 {
-				iterSince = 0
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			return procs(0, blocks)
-		}
-		limit := blocks
-		if blocks < p {
-			limit = blocks + 1
-		}
-		for b := 0; b < limit; b++ {
-			pp.assign[s] = b
-			nb := blocks
-			if b == blocks {
-				nb = blocks + 1
-			}
-			if err := parts(s+1, nb); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := parts(0, 0); err != nil && err != errStopEnum {
-		// Leave usedProc clean for the next solve: the unwind skipped the
-		// resets on the recursion path.
-		for q := range pp.usedProc {
-			pp.usedProc[q] = false
-		}
-		return nil, mapping.Cost{}, false, err
-	}
-	for q := range pp.usedProc {
-		pp.usedProc[q] = false
-	}
-	return best, bestCost, found, nil
+	return cloneSPBlocks(r.blocks), r.c, r.ok, nil
 }
 
 // BestHeuristic returns the goal-best candidate of the deterministic
 // heuristic set, computing the (goal-independent) set once per prepared
 // instance. The returned blocks are the caller's to keep.
-func (pp *Prepared) BestHeuristic(goal Goal) (Candidate, bool) {
+func (pp *Prepared) BestHeuristic(goal mapping.Goal) (Candidate, bool) {
 	if !pp.heurDone {
 		pp.heur = Heuristics(pp.g, pp.pl)
 		pp.heurDone = true
@@ -221,7 +201,7 @@ func (pp *Prepared) BestHeuristic(goal Goal) (Candidate, bool) {
 // injective processor assignments) and returns the best feasible
 // mapping. ok is false when the caps admit no mapping. The enumeration
 // order is deterministic, so ties resolve identically across runs.
-func Exhaustive(ctx context.Context, g workflow.SP, pl platform.Platform, goal Goal) ([]mapping.SPBlock, mapping.Cost, bool, error) {
+func Exhaustive(ctx context.Context, g workflow.SP, pl platform.Platform, goal mapping.Goal) ([]mapping.SPBlock, mapping.Cost, bool, error) {
 	pp, err := NewPrepared(g, pl)
 	if err != nil {
 		return nil, mapping.Cost{}, false, err

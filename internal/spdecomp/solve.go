@@ -10,64 +10,9 @@ import (
 	"time"
 
 	"repliflow/internal/mapping"
-	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
-
-// Goal is the objective of a block solve, mirroring core's four
-// objectives without importing core: minimize one metric subject to an
-// optional cap on the other (zero caps mean unbounded).
-type Goal struct {
-	MinimizeLatency bool
-	PeriodCap       float64
-	LatencyCap      float64
-}
-
-// Feasible reports whether the cost respects the caps.
-func (g Goal) Feasible(c mapping.Cost) bool {
-	if g.PeriodCap > 0 && numeric.Greater(c.Period, g.PeriodCap) {
-		return false
-	}
-	if g.LatencyCap > 0 && numeric.Greater(c.Latency, g.LatencyCap) {
-		return false
-	}
-	return true
-}
-
-// Value returns the minimized metric.
-func (g Goal) Value(c mapping.Cost) float64 {
-	if g.MinimizeLatency {
-		return c.Latency
-	}
-	return c.Period
-}
-
-// Better reports whether a strictly improves on b under the goal:
-// feasibility first, then cap violation, then the minimized metric.
-func (g Goal) Better(a, b mapping.Cost) bool {
-	fa, fb := g.Feasible(a), g.Feasible(b)
-	if fa != fb {
-		return fa
-	}
-	if !fa {
-		if va, vb := g.violation(a), g.violation(b); !numeric.Eq(va, vb) {
-			return va < vb
-		}
-	}
-	return numeric.Less(g.Value(a), g.Value(b))
-}
-
-func (g Goal) violation(c mapping.Cost) float64 {
-	var v float64
-	if g.PeriodCap > 0 && c.Period > g.PeriodCap {
-		v += c.Period - g.PeriodCap
-	}
-	if g.LatencyCap > 0 && c.Latency > g.LatencyCap {
-		v += c.Latency - g.LatencyCap
-	}
-	return v
-}
 
 // evalState carries the precomputed structure shared by every block
 // evaluation of one solve: canonical topological order, predecessor
@@ -448,7 +393,7 @@ func sameBlocks(a, b []mapping.SPBlock) bool {
 }
 
 // Best returns the goal-best candidate of the set.
-func Best(cands []Candidate, goal Goal) (Candidate, bool) {
+func Best(cands []Candidate, goal mapping.Goal) (Candidate, bool) {
 	var best Candidate
 	found := false
 	for _, c := range cands {
@@ -464,7 +409,7 @@ func Best(cands []Candidate, goal Goal) (Candidate, bool) {
 // heuristic seed until the budget or the context expires. It returns the
 // incumbent, the number of evaluated neighbours, and whether the
 // incumbent respects the caps.
-func Budgeted(ctx context.Context, g workflow.SP, pl platform.Platform, goal Goal, seed uint64, budget time.Duration) ([]mapping.SPBlock, mapping.Cost, int, bool, error) {
+func Budgeted(ctx context.Context, g workflow.SP, pl platform.Platform, goal mapping.Goal, seed uint64, budget time.Duration) ([]mapping.SPBlock, mapping.Cost, int, bool, error) {
 	st, err := newEvalState(g, pl)
 	if err != nil {
 		return nil, mapping.Cost{}, 0, false, err

@@ -168,7 +168,7 @@ func TestExhaustiveBeatsHeuristicsAndRespectsBounds(t *testing.T) {
 	g := wide(t)
 	pl := platform.New(3, 2, 1)
 	perLB, latLB := Bounds(g, pl)
-	for _, goal := range []Goal{{}, {MinimizeLatency: true}} {
+	for _, goal := range []mapping.Goal{{MinimizePeriod: true}, {}} {
 		blocks, cost, ok, err := Exhaustive(context.Background(), g, pl, goal)
 		if err != nil || !ok {
 			t.Fatalf("Exhaustive: %v ok=%v", err, ok)
@@ -190,12 +190,12 @@ func TestExhaustiveBeatsHeuristicsAndRespectsBounds(t *testing.T) {
 func TestExhaustiveDeterministic(t *testing.T) {
 	g := wide(t)
 	pl := platform.New(2, 2, 1)
-	first, c1, _, err := Exhaustive(context.Background(), g, pl, Goal{})
+	first, c1, _, err := Exhaustive(context.Background(), g, pl, mapping.Goal{MinimizePeriod: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, c2, _, err := Exhaustive(context.Background(), g, pl, Goal{})
+		again, c2, _, err := Exhaustive(context.Background(), g, pl, mapping.Goal{MinimizePeriod: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestExhaustiveDeterministic(t *testing.T) {
 func TestExhaustiveInfeasibleCaps(t *testing.T) {
 	g := wide(t)
 	pl := platform.New(1)
-	_, _, ok, err := Exhaustive(context.Background(), g, pl, Goal{PeriodCap: 0.5})
+	_, _, ok, err := Exhaustive(context.Background(), g, pl, mapping.Goal{MinimizePeriod: true, PeriodCap: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestExhaustiveCancellation(t *testing.T) {
 	pl := platform.Random(rng, 6, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := Exhaustive(ctx, g, pl, Goal{}); err == nil {
+	if _, _, _, err := Exhaustive(ctx, g, pl, mapping.Goal{MinimizePeriod: true}); err == nil {
 		t.Fatal("cancelled exhaustive returned nil error")
 	}
 }
@@ -257,7 +257,7 @@ func TestBudgetedImprovesOrMatchesSeeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := workflow.RandomSP(rng, 10, 9, 4, 3)
 	pl := platform.Random(rng, 4, 5)
-	goal := Goal{}
+	goal := mapping.Goal{MinimizePeriod: true}
 	seedBest, _ := Best(Heuristics(g, pl), goal)
 	blocks, cost, iters, feasible, err := Budgeted(context.Background(), g, pl, goal, 42, 30*time.Millisecond)
 	if err != nil {
