@@ -161,6 +161,8 @@ func (e *forkEnum) runFrom(ctx context.Context, prefix []int, used int, visit fu
 	return e.step.err
 }
 
+func (e *forkEnum) fresh() blockEnum[mapping.ForkMapping] { return newForkEnum(e.f, e.pl, e.allowDP) }
+
 func (e *forkEnum) clone(m mapping.ForkMapping) mapping.ForkMapping {
 	m.Blocks = append([]mapping.ForkBlock(nil), m.Blocks...)
 	return m
@@ -206,8 +208,7 @@ type ForkPrepared struct {
 
 // NewForkPrepared returns a prepared solver for the triple.
 func NewForkPrepared(f workflow.Fork, pl platform.Platform, allowDP bool) *ForkPrepared {
-	return &ForkPrepared{newBlockPrepared(f.Leaves()+1, pl.Processors(),
-		func() blockEnum[mapping.ForkMapping] { return newForkEnum(f, pl, allowDP) },
+	return &ForkPrepared{newBlockPrepared[mapping.ForkMapping](f.Leaves()+1, pl.Processors(), newForkEnum(f, pl, allowDP),
 		func(minimizePeriod bool) float64 {
 			return anytime.ForkLB(f, pl, anytime.Spec{Goal: mapping.Goal{MinimizePeriod: minimizePeriod}, AllowDP: allowDP})
 		})}

@@ -181,6 +181,8 @@ func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, visit func
 	return e.step.err
 }
 
+func (e *fjEnum) fresh() blockEnum[mapping.ForkJoinMapping] { return newFJEnum(e.fj, e.pl, e.allowDP) }
+
 func (e *fjEnum) clone(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
 	m.Blocks = append([]mapping.ForkJoinBlock(nil), m.Blocks...)
 	return m
@@ -219,8 +221,7 @@ type ForkJoinPrepared struct {
 
 // NewForkJoinPrepared returns a prepared solver for the triple.
 func NewForkJoinPrepared(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) *ForkJoinPrepared {
-	return &ForkJoinPrepared{newBlockPrepared(fj.Leaves()+2, pl.Processors(),
-		func() blockEnum[mapping.ForkJoinMapping] { return newFJEnum(fj, pl, allowDP) },
+	return &ForkJoinPrepared{newBlockPrepared[mapping.ForkJoinMapping](fj.Leaves()+2, pl.Processors(), newFJEnum(fj, pl, allowDP),
 		func(minimizePeriod bool) float64 {
 			return anytime.ForkJoinLB(fj, pl, anytime.Spec{Goal: mapping.Goal{MinimizePeriod: minimizePeriod}, AllowDP: allowDP})
 		})}

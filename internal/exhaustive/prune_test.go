@@ -21,20 +21,16 @@ import (
 // forkScan and forkJoinScan are one-shot serial scans on a fresh
 // enumerator, with an explicit lower bound (0 = unpruned).
 func forkScan(ctx context.Context, f workflow.Fork, pl platform.Platform, allowDP bool,
-	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkResult, bool, error) {
-	enums := []blockEnum[mapping.ForkMapping]{newForkEnum(f, pl, allowDP)}
-	return scanBlocks(ctx, enums, nil, f.Leaves()+1, pl.Processors(), accept, objective, lb)
+	goal mapping.Goal, lb float64) (ForkResult, bool, error) {
+	workers := []*blockWorker[mapping.ForkMapping]{newBlockWorker[mapping.ForkMapping](newForkEnum(f, pl, allowDP))}
+	return scanBlocks(ctx, workers, f.Leaves()+1, pl.Processors(), goal, lb)
 }
 
 func forkJoinScan(ctx context.Context, fj workflow.ForkJoin, pl platform.Platform, allowDP bool,
-	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (ForkJoinResult, bool, error) {
-	enums := []blockEnum[mapping.ForkJoinMapping]{newFJEnum(fj, pl, allowDP)}
-	return scanBlocks(ctx, enums, nil, fj.Leaves()+2, pl.Processors(), accept, objective, lb)
+	goal mapping.Goal, lb float64) (ForkJoinResult, bool, error) {
+	workers := []*blockWorker[mapping.ForkJoinMapping]{newBlockWorker[mapping.ForkJoinMapping](newFJEnum(fj, pl, allowDP))}
+	return scanBlocks(ctx, workers, fj.Leaves()+2, pl.Processors(), goal, lb)
 }
-
-func acceptAll(mapping.Cost) bool    { return true }
-func period(c mapping.Cost) float64  { return c.Period }
-func latency(c mapping.Cost) float64 { return c.Latency }
 
 func TestPipelinePruningIsByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -85,24 +81,24 @@ func TestForkPruningIsByteIdentical(t *testing.T) {
 		scans := map[string]scan{
 			"period": {
 				func() (ForkResult, bool, error) { return ForkPeriodCtx(ctx, f, pl, dp) },
-				func() (ForkResult, bool, error) { return forkScan(ctx, f, pl, dp, acceptAll, period, 0) },
+				func() (ForkResult, bool, error) {
+					return forkScan(ctx, f, pl, dp, mapping.Goal{MinimizePeriod: true}, 0)
+				},
 			},
 			"latency": {
 				func() (ForkResult, bool, error) { return ForkLatencyCtx(ctx, f, pl, dp) },
-				func() (ForkResult, bool, error) { return forkScan(ctx, f, pl, dp, acceptAll, latency, 0) },
+				func() (ForkResult, bool, error) { return forkScan(ctx, f, pl, dp, mapping.Goal{}, 0) },
 			},
 			"latency-under-period": {
 				func() (ForkResult, bool, error) { return ForkLatencyUnderPeriodCtx(ctx, f, pl, dp, bound) },
 				func() (ForkResult, bool, error) {
-					return forkScan(ctx, f, pl, dp,
-						func(c mapping.Cost) bool { return numeric.LessEq(c.Period, bound) }, latency, 0)
+					return forkScan(ctx, f, pl, dp, mapping.Goal{PeriodCap: bound}, 0)
 				},
 			},
 			"period-under-latency": {
 				func() (ForkResult, bool, error) { return ForkPeriodUnderLatencyCtx(ctx, f, pl, dp, bound) },
 				func() (ForkResult, bool, error) {
-					return forkScan(ctx, f, pl, dp,
-						func(c mapping.Cost) bool { return numeric.LessEq(c.Latency, bound) }, period, 0)
+					return forkScan(ctx, f, pl, dp, mapping.Goal{MinimizePeriod: true, LatencyCap: bound}, 0)
 				},
 			},
 		}
@@ -135,7 +131,7 @@ func TestForkJoinPruningIsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRes, wantOK, err := forkJoinScan(ctx, fj, pl, dp, acceptAll, period, 0)
+		wantRes, wantOK, err := forkJoinScan(ctx, fj, pl, dp, mapping.Goal{MinimizePeriod: true}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +143,7 @@ func TestForkJoinPruningIsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRes, wantOK, err = forkJoinScan(ctx, fj, pl, dp, acceptAll, latency, 0)
+		wantRes, wantOK, err = forkJoinScan(ctx, fj, pl, dp, mapping.Goal{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

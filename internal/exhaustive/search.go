@@ -33,42 +33,62 @@ type blockEnum[M any] interface {
 	runFrom(ctx context.Context, prefix []int, used int, visit func(M, mapping.Cost) bool) error
 	// retain deep-copies a visited mapping so it outlives the scan.
 	retain(M) M
+	// fresh returns a new enumerator of the same instance, with its own
+	// scratch.
+	fresh() blockEnum[M]
 	// clone copies a memoized mapping's block slice, so every solve
 	// hands out a fresh mapping exactly like a fresh solver.
 	clone(M) M
 }
 
+// blockWorker is one worker's scan state: its enumerator, and a visitor
+// built once per worker, so scanning a shard allocates nothing but the
+// mappings it installs.
+type blockWorker[M any] struct {
+	e     blockEnum[M]
+	goal  mapping.Goal
+	sh    *incumbent.Shard
+	best  Result[M]
+	visit func(M, mapping.Cost) bool
+}
+
+func newBlockWorker[M any](e blockEnum[M]) *blockWorker[M] {
+	w := &blockWorker[M]{e: e}
+	w.visit = func(m M, c mapping.Cost) bool {
+		if !w.goal.Feasible(c) {
+			return true
+		}
+		install, stop := w.sh.Offer(w.goal.Value(c))
+		if install {
+			w.best = Result[M]{Mapping: w.e.retain(m), Cost: c}
+		}
+		return !stop
+	}
+	return w
+}
+
 // scanBlocks runs the ordered scan of incumbent.Scan over the block
-// mappings and keeps the best one according to accept / objective. lb
-// is the anytime lower bound on the objective: once an incumbent reaches
-// it the scan stops — later mappings can at most tie, and ties never
-// replace the incumbent, so the result is byte-identical to the full
-// scan. Pass lb <= 0 to disable the stop. enums holds one enumerator per
-// worker, and the partition space is sharded across len(enums) workers;
-// a nil entry is filled by newEnum on the worker's own goroutine, so
-// the hot scratch of different workers never shares a cache line.
-func scanBlocks[M any](ctx context.Context, enums []blockEnum[M], newEnum func() blockEnum[M], items, procs int,
-	accept func(mapping.Cost) bool, objective func(mapping.Cost) float64, lb float64) (Result[M], bool, error) {
-	shards := partition.Plan(items, procs, len(enums))
-	return incumbent.Scan(ctx, len(enums), len(shards), lb,
+// mappings and keeps the goal's best one. lb is the anytime lower bound
+// on the goal's objective: once an incumbent reaches it the scan stops —
+// later mappings can at most tie, and ties never replace the incumbent,
+// so the result is byte-identical to the full scan. Pass lb <= 0 to
+// disable the stop. workers holds one worker per scan worker, and the
+// partition space is sharded across len(workers) of them; a nil entry
+// is filled from workers[0] on the worker's own goroutine, so the hot
+// scratch of different workers never shares a cache line.
+func scanBlocks[M any](ctx context.Context, workers []*blockWorker[M], items, procs int,
+	goal mapping.Goal, lb float64) (Result[M], bool, error) {
+	shards := partition.Plan(items, procs, len(workers))
+	return incumbent.Scan(ctx, len(workers), len(shards), lb,
 		func(ctx context.Context, w int, sh *incumbent.Shard) (Result[M], error) {
-			if enums[w] == nil {
-				enums[w] = newEnum()
+			if workers[w] == nil {
+				workers[w] = newBlockWorker(workers[0].e.fresh())
 			}
-			e := enums[w]
+			wk := workers[w]
+			wk.goal, wk.sh, wk.best = goal, sh, Result[M]{}
 			pre := shards[sh.Index()]
-			var best Result[M]
-			err := e.runFrom(ctx, pre.Assign, pre.Used, func(m M, c mapping.Cost) bool {
-				if !accept(c) {
-					return true
-				}
-				install, stop := sh.Offer(objective(c))
-				if install {
-					best = Result[M]{Mapping: e.retain(m), Cost: c}
-				}
-				return !stop
-			})
-			return best, err
+			err := wk.e.runFrom(ctx, pre.Assign, pre.Used, wk.visit)
+			return wk.best, err
 		})
 }
 
@@ -84,21 +104,20 @@ type blockMemo[M any] struct {
 // memos. Not safe for concurrent use.
 type blockPrepared[M any] struct {
 	items, procs int
-	newEnum      func() blockEnum[M]
-	// enums holds one enumerator per worker; enums[0] serves serial
-	// solves, the rest are built when parallelism first asks for them.
-	enums []blockEnum[M]
-	par   int
+	// workers holds one scan worker per worker; workers[0] serves
+	// serial solves, the rest are built when parallelism first asks.
+	workers []*blockWorker[M]
+	par     int
 	// lbLatency and lbPeriod are the anytime lower bounds of the two
 	// objectives.
 	lbLatency, lbPeriod float64
 	memo                map[mapping.Goal]blockMemo[M]
 }
 
-func newBlockPrepared[M any](items, procs int, newEnum func() blockEnum[M], lb func(minimizePeriod bool) float64) blockPrepared[M] {
+func newBlockPrepared[M any](items, procs int, e blockEnum[M], lb func(minimizePeriod bool) float64) blockPrepared[M] {
 	return blockPrepared[M]{
-		items: items, procs: procs, newEnum: newEnum,
-		enums:     []blockEnum[M]{newEnum()},
+		items: items, procs: procs,
+		workers:   []*blockWorker[M]{newBlockWorker(e)},
 		lbLatency: lb(false), lbPeriod: lb(true),
 		memo: make(map[mapping.Goal]blockMemo[M]),
 	}
@@ -126,10 +145,10 @@ func (bp *blockPrepared[M]) solve(ctx context.Context, goal mapping.Goal, bound 
 		if goal.MinimizePeriod {
 			lb = bp.lbPeriod
 		}
-		for len(bp.enums) < bp.par {
-			bp.enums = append(bp.enums, nil)
+		for len(bp.workers) < bp.par {
+			bp.workers = append(bp.workers, nil)
 		}
-		res, found, err := scanBlocks(ctx, bp.enums[:max(bp.par, 1)], bp.newEnum, bp.items, bp.procs, goal.Feasible, goal.Value, lb)
+		res, found, err := scanBlocks(ctx, bp.workers[:max(bp.par, 1)], bp.items, bp.procs, goal, lb)
 		if err != nil {
 			return Result[M]{}, false, err
 		}
@@ -137,7 +156,7 @@ func (bp *blockPrepared[M]) solve(ctx context.Context, goal mapping.Goal, bound 
 		bp.memo[goal] = m
 	}
 	res := m.res
-	res.Mapping = bp.enums[0].clone(res.Mapping)
+	res.Mapping = bp.workers[0].e.clone(res.Mapping)
 	return res, m.ok, nil
 }
 

@@ -127,15 +127,21 @@ func (f *fold[R]) add(res R, sh *Shard) bool {
 // returned, the first in worker order winning.
 func Scan[R any](ctx context.Context, workers, nshards int, lb float64,
 	scan func(ctx context.Context, worker int, sh *Shard) (R, error)) (R, bool, error) {
-	r := &scanRun{lb: lb}
+	// One allocation serves the shared state and the serial scan's shard.
+	state := &struct {
+		run    scanRun
+		serial Shard
+	}{run: scanRun{lb: lb}}
+	r := &state.run
 	r.bound.bits.Store(math.Float64bits(math.Inf(1)))
 	r.lbShard.Store(math.MaxInt64)
 	f := fold[R]{lb: lb}
 	var zero R
 
 	if workers = min(workers, nshards); workers <= 1 {
+		sh := &state.serial
 		for i := 0; i < nshards; i++ {
-			sh := &Shard{run: r, index: i}
+			*sh = Shard{run: r, index: i}
 			res, err := scan(ctx, 0, sh)
 			if err != nil {
 				return zero, false, err
