@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repliflow/internal/anytime"
+	"repliflow/internal/exhaustive"
 	"repliflow/internal/heuristics"
 )
 
@@ -83,11 +84,9 @@ func solvePipelineAnytime(ctx context.Context, pr Problem, opts Options) (Soluti
 	cl := classificationOf(pr)
 	seeds, _ := pipelineHeuristicCandidates(pr)
 	cfg := anytime.Config{Seed: anytimeSeedBase(pr)}
-	if pl.Processors() <= opts.MaxExhaustivePipelineProcs {
+	if pipelineInLimits(pr, opts) {
 		cfg.Exact = func(ctx context.Context) (anytime.Exact, error) {
-			// The portfolio already saturates cores with concurrent
-			// members; its exact member stays serial.
-			res, ok, err := exhaustivePipeline(ctx, pr)
+			res, ok, err := exhaustive.NewPipelinePrepared(p, pl, pr.AllowDataParallel).Solve(ctx, goalOf(pr))
 			if err != nil {
 				return anytime.Exact{}, err
 			}
@@ -108,18 +107,16 @@ func solveForkAnytime(ctx context.Context, pr Problem, opts Options) (Solution, 
 	// The legacy path polishes its pick with hill climbing; seed the
 	// portfolio with the polished mapping too.
 	if idx, ok := pickBestIndex(costs, pr); ok {
-		obj := heuristics.ForkMinLatency
-		if pr.Objective == MinPeriod || pr.Objective == PeriodUnderLatency {
-			obj = heuristics.ForkMinPeriod
-		}
-		if m, _, err := heuristics.LocalSearchFork(f, pl, seeds[idx], obj); err == nil {
+		if m, _, err := heuristics.LocalSearchFork(f, pl, seeds[idx], forkPolish(goalOf(pr))); err == nil {
 			seeds = append(seeds, m)
 		}
 	}
 	cfg := anytime.Config{Seed: anytimeSeedBase(pr)}
-	if f.Leaves()+1 <= opts.MaxExhaustiveForkStages && pl.Processors() <= opts.MaxExhaustiveForkProcs {
+	if forkInLimits(pr, opts) {
 		cfg.Exact = func(ctx context.Context) (anytime.Exact, error) {
-			res, ok, err := exhaustiveFork(ctx, pr, 1)
+			// The portfolio already saturates cores with concurrent
+			// members; its exact member stays serial.
+			res, ok, err := exhaustive.NewForkPrepared(f, pl, pr.AllowDataParallel).Solve(ctx, goalOf(pr))
 			if err != nil {
 				return anytime.Exact{}, err
 			}
@@ -138,9 +135,9 @@ func solveForkJoinAnytime(ctx context.Context, pr Problem, opts Options) (Soluti
 	cl := classificationOf(pr)
 	seeds, _ := forkJoinHeuristicCandidates(pr)
 	cfg := anytime.Config{Seed: anytimeSeedBase(pr)}
-	if fj.Leaves()+2 <= opts.MaxExhaustiveForkStages && pl.Processors() <= opts.MaxExhaustiveForkProcs {
+	if forkJoinInLimits(pr, opts) {
 		cfg.Exact = func(ctx context.Context) (anytime.Exact, error) {
-			res, ok, err := exhaustiveForkJoin(ctx, pr, 1)
+			res, ok, err := exhaustive.NewForkJoinPrepared(fj, pl, pr.AllowDataParallel).Solve(ctx, goalOf(pr))
 			if err != nil {
 				return anytime.Exact{}, err
 			}

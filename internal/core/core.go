@@ -47,6 +47,13 @@ func (o Objective) Bounded() bool {
 	return o == LatencyUnderPeriod || o == PeriodUnderLatency
 }
 
+// minimizesPeriod reports whether the objective minimizes the period
+// (the goalOf(pr).MinimizePeriod of a problem, where only the objective
+// is at hand).
+func (o Objective) minimizesPeriod() bool {
+	return o == MinPeriod || o == PeriodUnderLatency
+}
+
 // goalOf projects a problem's objective and bound onto the cost-level
 // goal every search optimizes.
 func goalOf(pr Problem) mapping.Goal {

@@ -48,17 +48,13 @@ type KindSpec struct {
 	// cells (k.Kind == Kind).
 	Classify func(k CellKey) Classification
 	// ExactlySolvable reports whether the in-limit exact path applies to
-	// the (validated) instance under normalized opts.
+	// the (validated) instance under normalized opts. It rests on the
+	// kind's one exhaustive-limit test (forkInLimits, spInLimits, ...),
+	// which the cells' Prepare entries and the anytime portfolio's exact
+	// member share. Whether an instance prepares is up to its cells'
+	// SolverEntry.Prepare, which returns nil where preparation does not
+	// apply.
 	ExactlySolvable func(pr Problem, opts Options) bool
-
-	// Preparable is the registry-level gate of core.Prepare: it reports
-	// whether the kind can produce a prepared solver for the (validated)
-	// instance under normalized opts. Nil means no cell of the kind
-	// prepares, so Prepare fails fast without probing the cells. It must
-	// be truthful in the negative direction only — returning true merely
-	// lets Prepare probe the instance's cells, whose Prepare entries stay
-	// authoritative.
-	Preparable func(pr Problem, opts Options) bool
 
 	// ParallelWorthwhile is the auto-mode crossover of the partitioned
 	// exhaustive search. Nil means the kind has no parallel search path,

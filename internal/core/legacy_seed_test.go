@@ -352,7 +352,7 @@ func legacySolveForkHard(pr Problem, f workflow.Fork, cl Classification, opts Op
 		case PeriodUnderLatency:
 			ok = !numeric.Greater(c.Latency, pr.Bound)
 		}
-		if ok && numeric.Less(objectiveValue(c, pr.Objective), objectiveValue(bestCost, pr.Objective)) {
+		if ok && numeric.Less(goalOf(pr).Value(c), goalOf(pr).Value(bestCost)) {
 			best, bestCost = m, c
 		}
 	}

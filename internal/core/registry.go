@@ -79,7 +79,28 @@ type SolverEntry struct {
 	// exceeds the exhaustive limits, so solves take the heuristic path).
 	// All cells of one graph kind share a single Prepare implementation,
 	// so one prepared instance serves every objective of the family.
+	// Solve is then preparedOnce(Prepare, ...): the prepared cell used
+	// once, so the two paths cannot drift apart.
 	Prepare func(pr Problem, opts Options) *PreparedCell
+}
+
+// preparedOnce is the one-shot solver of a cell with a Prepare
+// capability: the cell prepared for the instance and used once. When
+// prepare declines the instance, beyond solves it — the heuristic path
+// beyond the exhaustive limits, or SP's delegation to the reduced cell.
+// Kinds that prepare every valid instance pass a nil beyond; a refusal
+// then fails with ErrKindNoSolver.
+func preparedOnce(prepare func(Problem, Options) *PreparedCell, beyond SolverFunc) SolverFunc {
+	return func(ctx context.Context, pr Problem, opts Options) (Solution, error) {
+		if cell := prepare(pr, opts); cell != nil {
+			return cell.Solve(ctx, pr)
+		}
+		if beyond == nil {
+			return Solution{}, WithErrKind(ErrKindNoSolver,
+				fmt.Errorf("core: cell %v could not prepare the instance", CellKeyOf(pr)))
+		}
+		return beyond(ctx, pr, opts)
+	}
 }
 
 // registry maps every Table 1 dispatch cell to its solver. It is populated

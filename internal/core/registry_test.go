@@ -269,3 +269,37 @@ func TestSolveContextCancellationFork(t *testing.T) {
 		t.Fatalf("cancelled fork solve returned %v, want context.Canceled", err)
 	}
 }
+
+// TestExactlySolvableMatchesSolutionExact: ExactlySolvable must predict
+// the Exact flag of an unbudgeted solve — batch sweeps decide on it
+// before solving. Random instances of all six kinds and every objective
+// run under the default limits and under tiny ones, so every kind's
+// exhaustive-limit test is exercised on both sides.
+func TestExactlySolvableMatchesSolutionExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	ctx := context.Background()
+	tiny := Options{MaxExhaustivePipelineProcs: 2, MaxExhaustiveForkStages: 2, MaxExhaustiveForkProcs: 2}
+	objs := []Objective{MinPeriod, MinLatency, LatencyUnderPeriod, PeriodUnderLatency}
+	seen := map[bool]int{}
+	for trial := 0; trial < 400; trial++ {
+		pr := randomHardishProblem(rng)
+		pr.Objective = objs[rng.Intn(len(objs))]
+		if pr.Objective.Bounded() {
+			pr.Bound = float64(1+rng.Intn(8)) / 2
+		}
+		for _, opts := range []Options{{}, tiny} {
+			sol, err := SolveContext(ctx, pr, opts)
+			if err != nil {
+				t.Fatalf("trial %d (%v): %v", trial, CellKeyOf(pr), err)
+			}
+			if want := ExactlySolvable(pr, opts); sol.Exact != want {
+				t.Fatalf("trial %d (%v, opts %+v): Solution.Exact = %v, ExactlySolvable = %v (method %v)",
+					trial, CellKeyOf(pr), opts, sol.Exact, want, sol.Method)
+			}
+			seen[sol.Exact]++
+		}
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("corpus hit only one side of the limits: %v", seen)
+	}
+}

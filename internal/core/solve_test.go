@@ -240,9 +240,9 @@ func TestSolveMatchesExhaustiveOnRandomInstances(t *testing.T) {
 				opt, _ := exhaustive.PipelineLatency(p, pl, dp)
 				want = opt.Cost.Latency
 			}
-			if !numeric.Eq(objectiveValue(sol.Cost, obj), want) {
+			if !numeric.Eq(goalOf(Problem{Objective: obj}).Value(sol.Cost), want) {
 				t.Fatalf("trial %d: pipeline %v dp=%v obj=%v: Solve %v != exhaustive %v (%v)",
-					trial, p.Weights, dp, obj, objectiveValue(sol.Cost, obj), want, sol)
+					trial, p.Weights, dp, obj, goalOf(Problem{Objective: obj}).Value(sol.Cost), want, sol)
 			}
 		} else {
 			f := workflow.RandomFork(rng, 1+rng.Intn(3), 9)
@@ -262,9 +262,9 @@ func TestSolveMatchesExhaustiveOnRandomInstances(t *testing.T) {
 				opt, _ := exhaustive.ForkLatency(f, pl, dp)
 				want = opt.Cost.Latency
 			}
-			if !numeric.Eq(objectiveValue(sol.Cost, obj), want) {
+			if !numeric.Eq(goalOf(Problem{Objective: obj}).Value(sol.Cost), want) {
 				t.Fatalf("trial %d: fork %+v dp=%v obj=%v: Solve %v != exhaustive %v (%v)",
-					trial, f, dp, obj, objectiveValue(sol.Cost, obj), want, sol)
+					trial, f, dp, obj, goalOf(Problem{Objective: obj}).Value(sol.Cost), want, sol)
 			}
 		}
 	}

@@ -61,10 +61,6 @@ func init() {
 		NeedsBandwidth:      true,
 		Classify:            classifyCommPipeline,
 		ExactlySolvable:     commPipeInLimits,
-		// Every comm-pipeline cell prepares: the hom-platform DP reuses its
-		// tables and candidate set, the het-platform exhaustive its scratch
-		// and memo, the oversized path its heuristic candidate evaluations.
-		Preparable: func(Problem, Options) bool { return true },
 		// Only the het-platform exhaustive scan has a parallel path; the
 		// hom-platform DP is polynomial and stays serial.
 		ParallelWorthwhile: func(pr Problem) bool {
@@ -102,10 +98,9 @@ func init() {
 			return Classification{NPHard, "Section 3.3 (one-port fork)"}
 		},
 		ExactlySolvable: commForkInLimits,
-		// Every comm-fork cell prepares; the fork scan itself stays serial
-		// (instances behind the limits are small enough that scratch reuse
-		// dominates), so there is no ParallelWorthwhile.
-		Preparable:       func(Problem, Options) bool { return true },
+		// The fork scan stays serial (instances behind the limits are
+		// small enough that scratch reuse dominates), so there is no
+		// ParallelWorthwhile.
 		CandidatePeriods: commForkCandidatePeriods,
 		SeedMix: func(pr Problem, mix func(float64)) {
 			mix(pr.CommFork.Root)
@@ -131,17 +126,20 @@ func init() {
 	// Comm-pipeline cells. Fully homogeneous platforms are polynomial
 	// (latency objectives by the interval DP, period objectives by binary
 	// search over the candidate periods); heterogeneous platforms are
-	// NP-hard and solved exhaustively within the fork limits.
+	// NP-hard and solved exhaustively within the fork limits. Every comm
+	// cell prepares every valid instance — the hom-platform DP its tables
+	// and candidate set, the exhaustive scans their scratch and memo, the
+	// oversized paths their heuristic candidate evaluations — so each
+	// one-shot solver is its prepared cell used once.
+	hom := preparedOnce(prepareCommPipeHom, nil)
+	hard := preparedOnce(prepareCommPipeHard, nil)
+	fork := preparedOnce(prepareCommFork, nil)
 	for _, gh := range bools {
 		for _, obj := range objs {
-			method := MethodDP
-			if obj == MinPeriod || obj == PeriodUnderLatency {
-				method = MethodBinarySearchDP
-			}
 			register(CellKey{workflow.KindCommPipeline, true, gh, false, obj},
-				SolverEntry{method, true, "Section 3.2 (hom. platform)", solveCommPipeHom, prepareCommPipeHom})
+				SolverEntry{commPipeHomMethod(obj), true, "Section 3.2 (hom. platform)", hom, prepareCommPipeHom})
 			register(CellKey{workflow.KindCommPipeline, false, gh, false, obj},
-				SolverEntry{MethodExhaustive, true, "Section 3.2 (het. platform)", solveCommPipeHard, prepareCommPipeHard})
+				SolverEntry{MethodExhaustive, true, "Section 3.2 (het. platform)", hard, prepareCommPipeHard})
 		}
 	}
 	// Comm-fork cells: NP-hard on every axis combination (the one-port
@@ -150,7 +148,7 @@ func init() {
 		for _, gh := range bools {
 			for _, obj := range objs {
 				register(CellKey{workflow.KindCommFork, ph, gh, false, obj},
-					SolverEntry{MethodExhaustive, true, "Section 3.3 (one-port fork)", solveCommForkHard, prepareCommFork})
+					SolverEntry{MethodExhaustive, true, "Section 3.3 (one-port fork)", fork, prepareCommFork})
 			}
 		}
 	}
@@ -162,7 +160,7 @@ func classifyCommPipeline(k CellKey) Classification {
 	if !k.PlatformHomogeneous {
 		return Classification{NPHard, "Section 3.2 (het. platform)"}
 	}
-	if k.Objective == MinPeriod || k.Objective == PeriodUnderLatency {
+	if k.Objective.minimizesPeriod() {
 		return Classification{PolyBinarySearchDP, "Section 3.2 (hom. platform)"}
 	}
 	return Classification{PolyDP, "Section 3.2 (hom. platform)"}
@@ -224,104 +222,19 @@ func commForkSolution(m fullmodel.ForkMapping, c mapping.Cost, method Method, ex
 	}
 }
 
-// methodForCommPipeObjective mirrors the registration table: binary
-// search for the period objectives, plain DP for the latency ones.
-func methodForCommPipeObjective(o Objective) Method {
-	if o == MinPeriod || o == PeriodUnderLatency {
+// commPipeHomMethod is the method of a hom-platform comm-pipeline cell:
+// binary search for the period objectives, plain DP for the latency ones.
+func commPipeHomMethod(o Objective) Method {
+	if o.minimizesPeriod() {
 		return MethodBinarySearchDP
 	}
 	return MethodDP
 }
 
-// solveCommPipeHom solves the polynomial hom-platform comm-pipeline
-// cells through the fullmodel dynamic programs.
-func solveCommPipeHom(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	cl := classificationOf(pr)
-	method := methodForCommPipeObjective(pr.Objective)
-	m, c, ok, err := fullmodel.SolveHom(*pr.CommPipeline, commPlatform(pr), goalOf(pr))
-	if err != nil {
-		return Solution{}, err
-	}
-	if !ok {
-		return infeasible(method, true, cl), nil
-	}
-	return commPipeSolution(m, c, method, true, cl), nil
-}
-
-// solveCommPipeHard solves the NP-hard het-platform comm-pipeline cells:
-// exhaustively within the limits, otherwise by the deterministic
-// heuristic seeds.
-func solveCommPipeHard(ctx context.Context, pr Problem, opts Options) (Solution, error) {
-	cl := classificationOf(pr)
-	p, pl, goal := *pr.CommPipeline, commPlatform(pr), goalOf(pr)
-	if commPipeInLimits(pr, opts) {
-		pp, err := fullmodel.NewPipelinePreparedTable(p, commTable(pr))
-		if err != nil {
-			return Solution{}, err
-		}
-		pp.SetParallelism(searchParallelism(opts, pr))
-		m, c, ok, err := pp.SolveExact(ctx, goal)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return commPipeSolution(m, c, MethodExhaustive, true, cl), nil
-	}
-	cands := fullmodel.HeuristicCandidates(p, pl)
-	costs := make([]mapping.Cost, len(cands))
-	for i, m := range cands {
-		c, err := fullmodel.Eval(p, pl, m)
-		if err != nil {
-			return Solution{}, err
-		}
-		costs[i] = c
-	}
-	idx, ok := pickBestIndex(costs, pr)
-	if !ok {
-		return infeasible(MethodHeuristic, false, cl), nil
-	}
-	return commPipeSolution(cands[idx], costs[idx], MethodHeuristic, false, cl), nil
-}
-
-// solveCommForkHard solves every one-port fork cell: exhaustively within
-// the limits, otherwise by the deterministic heuristic seeds (each
-// finished with its latency-optimal send order).
-func solveCommForkHard(ctx context.Context, pr Problem, opts Options) (Solution, error) {
-	cl := classificationOf(pr)
-	f, pl, goal := *pr.CommFork, commPlatform(pr), goalOf(pr)
-	if commForkInLimits(pr, opts) {
-		m, c, ok, err := fullmodel.SolveForkExact(ctx, f, pl, goal)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return commForkSolution(m, c, MethodExhaustive, true, cl), nil
-	}
-	cands := fullmodel.ForkHeuristicCandidates(f, pl)
-	costs := make([]mapping.Cost, len(cands))
-	for i, m := range cands {
-		c, err := fullmodel.EvalFork(f, pl, m, false)
-		if err != nil {
-			return Solution{}, err
-		}
-		costs[i] = c
-	}
-	idx, ok := pickBestIndex(costs, pr)
-	if !ok {
-		return infeasible(MethodHeuristic, false, cl), nil
-	}
-	return commForkSolution(cands[idx], costs[idx], MethodHeuristic, false, cl), nil
-}
-
 // prepareCommPipeHom is the Prepare capability of the polynomial
 // hom-platform comm-pipeline cells: one fullmodel.PipelinePrepared —
 // shared bound-platform table, reusable DP arrays, the candidate-period
-// set, a per-goal memo — serves every objective of the family,
-// byte-identical to solveCommPipeHom.
+// set, a per-goal memo — serves every objective of the family.
 func prepareCommPipeHom(pr Problem, _ Options) *PreparedCell {
 	pp, err := fullmodel.NewPipelinePreparedTable(*pr.CommPipeline, commTable(pr))
 	if err != nil {
@@ -329,7 +242,7 @@ func prepareCommPipeHom(pr Problem, _ Options) *PreparedCell {
 	}
 	solve := func(_ context.Context, pr2 Problem) (Solution, error) {
 		cl := classificationOf(pr2)
-		method := methodForCommPipeObjective(pr2.Objective)
+		method := commPipeHomMethod(pr2.Objective)
 		m, c, ok, err := pp.SolveHom(goalOf(pr2))
 		if err != nil {
 			return Solution{}, err
@@ -345,10 +258,9 @@ func prepareCommPipeHom(pr Problem, _ Options) *PreparedCell {
 // prepareCommPipeHard is the Prepare capability of the NP-hard
 // het-platform comm-pipeline cells: within the exhaustive limits one
 // fullmodel.PipelinePrepared shares the work table, enumeration scratch
-// and per-goal memo (with the optionally parallel ordered scan), byte-identical
-// to solveCommPipeHard; beyond them the goal-independent heuristic
-// candidate set and its evaluations are computed once, leaving only the
-// per-goal bound check to each solve.
+// and per-goal memo (with the optionally parallel ordered scan); beyond
+// them the goal-independent heuristic candidate set and its evaluations
+// are computed once, leaving only the per-goal bound check to each solve.
 func prepareCommPipeHard(pr Problem, opts Options) *PreparedCell {
 	p, t := *pr.CommPipeline, commTable(pr)
 	if commPipeInLimits(pr, opts) {
@@ -396,10 +308,9 @@ func prepareCommPipeHard(pr Problem, opts Options) *PreparedCell {
 
 // prepareCommFork is the Prepare capability of the one-port fork cells:
 // within the exhaustive limits one fullmodel.ForkPrepared shares the
-// partition/assignment scratch, send-order buffers and per-goal memo,
-// byte-identical to solveCommForkHard; beyond them the heuristic
-// candidate set (each finished with its latency-optimal send order) and
-// its evaluations are computed once.
+// partition/assignment scratch, send-order buffers and per-goal memo;
+// beyond them the heuristic candidate set (each finished with its
+// latency-optimal send order) and its evaluations are computed once.
 func prepareCommFork(pr Problem, opts Options) *PreparedCell {
 	f, t := *pr.CommFork, commTable(pr)
 	if commForkInLimits(pr, opts) {

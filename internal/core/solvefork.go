@@ -65,16 +65,7 @@ func init() {
 		GraphHomogeneous: func(pr Problem) bool { return pr.Fork.IsHomogeneous() },
 		DataParallel:     true,
 		Classify:         classifyLegacy,
-		ExactlySolvable: func(pr Problem, opts Options) bool {
-			return pr.Fork.Leaves()+1 <= opts.MaxExhaustiveForkStages &&
-				pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
-		},
-		// Preparable mirrors prepareForkHard's gate: only the in-limit
-		// exhaustive path shares state worth preparing.
-		Preparable: func(pr Problem, opts Options) bool {
-			return pr.Fork.Leaves()+1 <= opts.MaxExhaustiveForkStages &&
-				pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
-		},
+		ExactlySolvable:  forkInLimits,
 		ParallelWorthwhile: func(pr Problem) bool {
 			return pr.Fork.Leaves()+1 >= parMinForkItems &&
 				pr.Platform.Processors() >= parMinForkProcs
@@ -100,15 +91,7 @@ func init() {
 		GraphHomogeneous: func(pr Problem) bool { return pr.ForkJoin.IsHomogeneous() },
 		DataParallel:     true,
 		Classify:         classifyLegacy,
-		ExactlySolvable: func(pr Problem, opts Options) bool {
-			return pr.ForkJoin.Leaves()+2 <= opts.MaxExhaustiveForkStages &&
-				pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
-		},
-		// Preparable mirrors prepareForkJoinHard's gate.
-		Preparable: func(pr Problem, opts Options) bool {
-			return pr.ForkJoin.Leaves()+2 <= opts.MaxExhaustiveForkStages &&
-				pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
-		},
+		ExactlySolvable:  forkJoinInLimits,
 		ParallelWorthwhile: func(pr Problem) bool {
 			return pr.ForkJoin.Leaves()+2 >= parMinForkItems &&
 				pr.Platform.Processors() >= parMinForkProcs
@@ -129,12 +112,13 @@ func init() {
 		},
 	})
 	for _, kind := range []workflow.Kind{workflow.KindFork, workflow.KindForkJoin} {
-		periodSolver, t11, t14, hard := solveForkHomPeriod, solveForkTheorem11, solveForkTheorem14, solveForkHard
-		prepare := prepareForkHard
+		periodSolver, t11, t14 := solveForkHomPeriod, solveForkTheorem11, solveForkTheorem14
+		prepare, beyond := prepareForkHard, solveForkHeuristic
 		if kind == workflow.KindForkJoin {
-			periodSolver, t11, t14, hard = solveForkJoinHomPeriod, solveForkJoinTheorem11, solveForkJoinTheorem14, solveForkJoinHard
-			prepare = prepareForkJoinHard
+			periodSolver, t11, t14 = solveForkJoinHomPeriod, solveForkJoinTheorem11, solveForkJoinTheorem14
+			prepare, beyond = prepareForkJoinHard, solveForkJoinHeuristic
 		}
+		hard := preparedOnce(prepare, beyond)
 
 		// Homogeneous platforms: period is straightforward (Theorem 10);
 		// the remaining objectives are polynomial only for homogeneous
@@ -253,65 +237,46 @@ func solveForkTheorem14(_ context.Context, pr Problem, _ Options) (Solution, err
 	}
 }
 
-// solveForkHard handles the NP-hard fork cells: exact set-partition search
-// (with cancellation checkpoints) within the exhaustive limits, polynomial
-// heuristics polished by hill climbing beyond them.
-func solveForkHard(ctx context.Context, pr Problem, opts Options) (Solution, error) {
-	f := *pr.Fork
-	pl := pr.Platform
-	cl := classificationOf(pr)
-	if f.Leaves()+1 <= opts.MaxExhaustiveForkStages && pl.Processors() <= opts.MaxExhaustiveForkProcs {
-		res, ok, err := exhaustiveFork(ctx, pr, searchParallelism(opts, pr))
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodExhaustive, true, cl), nil
+// forkInLimits reports whether a fork instance is within the exhaustive
+// set-partition limits: its stages (root plus leaves) and processors.
+func forkInLimits(pr Problem, opts Options) bool {
+	return pr.Fork.Leaves()+1 <= opts.MaxExhaustiveForkStages &&
+		pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
+}
+
+// forkJoinInLimits is forkInLimits for fork-joins, whose join is one
+// more stage.
+func forkJoinInLimits(pr Problem, opts Options) bool {
+	return pr.ForkJoin.Leaves()+2 <= opts.MaxExhaustiveForkStages &&
+		pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
+}
+
+// forkPolish is the hill-climbing criterion of a goal's minimized metric.
+func forkPolish(goal mapping.Goal) heuristics.ForkObjective {
+	if goal.MinimizePeriod {
+		return heuristics.ForkMinPeriod
 	}
+	return heuristics.ForkMinLatency
+}
+
+// solveForkHeuristic solves the NP-hard fork cells beyond the exhaustive
+// limits: the best polynomial heuristic candidate, polished by hill
+// climbing on the optimized criterion and kept polished only if it still
+// honours the bound.
+func solveForkHeuristic(_ context.Context, pr Problem, _ Options) (Solution, error) {
+	cl := classificationOf(pr)
 	maps, costs := forkHeuristicCandidates(pr)
 	idx, ok := pickBestIndex(costs, pr)
 	if !ok {
 		return infeasible(MethodHeuristic, false, cl), nil
 	}
 	best, bestCost := maps[idx], costs[idx]
-	// Polish with hill climbing on the optimized criterion, keeping the
-	// result only if it still honours the bound.
-	obj := heuristics.ForkMinLatency
-	if pr.Objective == MinPeriod || pr.Objective == PeriodUnderLatency {
-		obj = heuristics.ForkMinPeriod
-	}
-	if m, c, err := heuristics.LocalSearchFork(f, pl, best, obj); err == nil {
-		ok := true
-		switch pr.Objective {
-		case LatencyUnderPeriod:
-			ok = !numeric.Greater(c.Period, pr.Bound)
-		case PeriodUnderLatency:
-			ok = !numeric.Greater(c.Latency, pr.Bound)
-		}
-		if ok && numeric.Less(objectiveValue(c, pr.Objective), objectiveValue(bestCost, pr.Objective)) {
-			best, bestCost = m, c
-		}
+	goal := goalOf(pr)
+	if m, c, err := heuristics.LocalSearchFork(*pr.Fork, pr.Platform, best, forkPolish(goal)); err == nil &&
+		goal.Feasible(c) && numeric.Less(goal.Value(c), goal.Value(bestCost)) {
+		best, bestCost = m, c
 	}
 	return forkSolution(best, bestCost, MethodHeuristic, false, cl), nil
-}
-
-// exhaustiveFork runs the exact set-partition search matching pr's
-// objective — shared by the unbudgeted exact path and the anytime
-// portfolio's exact member. par is the resolved worker count of the
-// sharded scan (<= 1 serial); it never changes the result.
-func exhaustiveFork(ctx context.Context, pr Problem, par int) (exhaustive.ForkResult, bool, error) {
-	fp := exhaustive.NewForkPrepared(*pr.Fork, pr.Platform, pr.AllowDataParallel)
-	fp.SetParallelism(par)
-	return preparedForkDispatch(ctx, fp, pr)
-}
-
-// exhaustiveForkJoin is exhaustiveFork for fork-join graphs.
-func exhaustiveForkJoin(ctx context.Context, pr Problem, par int) (exhaustive.ForkJoinResult, bool, error) {
-	fp := exhaustive.NewForkJoinPrepared(*pr.ForkJoin, pr.Platform, pr.AllowDataParallel)
-	fp.SetParallelism(par)
-	return preparedForkJoinDispatch(ctx, fp, pr)
 }
 
 // forkHeuristicCandidates returns the polynomial heuristic mappings of
@@ -419,20 +384,10 @@ func solveForkJoinTheorem14(_ context.Context, pr Problem, _ Options) (Solution,
 	}
 }
 
-func solveForkJoinHard(ctx context.Context, pr Problem, opts Options) (Solution, error) {
-	fj := *pr.ForkJoin
-	pl := pr.Platform
+// solveForkJoinHeuristic solves the NP-hard fork-join cells beyond the
+// exhaustive limits with the best polynomial heuristic candidate.
+func solveForkJoinHeuristic(_ context.Context, pr Problem, _ Options) (Solution, error) {
 	cl := classificationOf(pr)
-	if fj.Leaves()+2 <= opts.MaxExhaustiveForkStages && pl.Processors() <= opts.MaxExhaustiveForkProcs {
-		res, ok, err := exhaustiveForkJoin(ctx, pr, searchParallelism(opts, pr))
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodExhaustive, true, cl), nil
-	}
 	maps, costs := forkJoinHeuristicCandidates(pr)
 	idx, ok := pickBestIndex(costs, pr)
 	if !ok {
@@ -457,84 +412,32 @@ func forkJoinHeuristicCandidates(pr Problem) ([]mapping.ForkJoinMapping, []mappi
 	}
 	add(mapping.ReplicateAllForkJoin(fj, pl))
 	add(wholeForkJoinOnProcessor(fj, pl.Fastest()))
-	minPeriod := pr.Objective == MinPeriod || pr.Objective == PeriodUnderLatency
-	if m, _, err := heuristics.HetForkJoinGreedy(fj, pl, minPeriod); err == nil {
+	if m, _, err := heuristics.HetForkJoinGreedy(fj, pl, goalOf(pr).MinimizePeriod); err == nil {
 		add(m)
 	}
 	return maps, costs
 }
 
-// preparedForkDispatch is exhaustiveFork on a shared prepared solver.
-func preparedForkDispatch(ctx context.Context, fp *exhaustive.ForkPrepared, pr Problem) (exhaustive.ForkResult, bool, error) {
-	switch pr.Objective {
-	case MinPeriod:
-		return fp.Period(ctx)
-	case MinLatency:
-		return fp.Latency(ctx)
-	case LatencyUnderPeriod:
-		return fp.LatencyUnderPeriod(ctx, pr.Bound)
-	default:
-		return fp.PeriodUnderLatency(ctx, pr.Bound)
-	}
-}
-
 // prepareForkHard is the registry Prepare capability of the NP-hard fork
 // cells: within the exhaustive limits it shares one
 // exhaustive.ForkPrepared — enumeration scratch, anytime bounds,
-// per-bound memo — across every solve of the family, byte-identical to
-// solveForkHard. Outside the limits it returns nil.
+// per-goal memo — across every solve of the family. Outside the limits
+// it returns nil, and the one-shot solver takes solveForkHeuristic.
 func prepareForkHard(pr Problem, opts Options) *PreparedCell {
-	if pr.Fork.Leaves()+1 > opts.MaxExhaustiveForkStages || pr.Platform.Processors() > opts.MaxExhaustiveForkProcs {
+	if !forkInLimits(pr, opts) {
 		return nil
 	}
 	fp := exhaustive.NewForkPrepared(*pr.Fork, pr.Platform, pr.AllowDataParallel)
 	fp.SetParallelism(searchParallelism(opts, pr))
-	solve := func(ctx context.Context, pr Problem) (Solution, error) {
-		res, ok, err := preparedForkDispatch(ctx, fp, pr)
-		if err != nil {
-			return Solution{}, err
-		}
-		cl := classificationOf(pr)
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodExhaustive, true, cl), nil
-	}
-	return &PreparedCell{Solve: solve, SetParallelism: fp.SetParallelism}
-}
-
-// preparedForkJoinDispatch is exhaustiveForkJoin on a shared prepared
-// solver.
-func preparedForkJoinDispatch(ctx context.Context, fp *exhaustive.ForkJoinPrepared, pr Problem) (exhaustive.ForkJoinResult, bool, error) {
-	switch pr.Objective {
-	case MinPeriod:
-		return fp.Period(ctx)
-	case MinLatency:
-		return fp.Latency(ctx)
-	case LatencyUnderPeriod:
-		return fp.LatencyUnderPeriod(ctx, pr.Bound)
-	default:
-		return fp.PeriodUnderLatency(ctx, pr.Bound)
-	}
+	return &PreparedCell{Solve: exhaustiveSolve(fp, forkSolution), SetParallelism: fp.SetParallelism}
 }
 
 // prepareForkJoinHard is prepareForkHard for fork-join graphs.
 func prepareForkJoinHard(pr Problem, opts Options) *PreparedCell {
-	if pr.ForkJoin.Leaves()+2 > opts.MaxExhaustiveForkStages || pr.Platform.Processors() > opts.MaxExhaustiveForkProcs {
+	if !forkJoinInLimits(pr, opts) {
 		return nil
 	}
 	fp := exhaustive.NewForkJoinPrepared(*pr.ForkJoin, pr.Platform, pr.AllowDataParallel)
 	fp.SetParallelism(searchParallelism(opts, pr))
-	solve := func(ctx context.Context, pr Problem) (Solution, error) {
-		res, ok, err := preparedForkJoinDispatch(ctx, fp, pr)
-		if err != nil {
-			return Solution{}, err
-		}
-		cl := classificationOf(pr)
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodExhaustive, true, cl), nil
-	}
-	return &PreparedCell{Solve: solve, SetParallelism: fp.SetParallelism}
+	return &PreparedCell{Solve: exhaustiveSolve(fp, forkJoinSolution), SetParallelism: fp.SetParallelism}
 }

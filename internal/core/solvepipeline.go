@@ -40,14 +40,7 @@ func init() {
 		GraphHomogeneous: func(pr Problem) bool { return pr.Pipeline.IsHomogeneous() },
 		DataParallel:     true,
 		Classify:         classifyLegacy,
-		ExactlySolvable: func(pr Problem, opts Options) bool {
-			return pr.Platform.Processors() <= opts.MaxExhaustivePipelineProcs
-		},
-		// Preparable mirrors preparePipelineHard's gate: only the in-limit
-		// exhaustive path shares state worth preparing.
-		Preparable: func(pr Problem, opts Options) bool {
-			return pr.Platform.Processors() <= opts.MaxExhaustivePipelineProcs
-		},
+		ExactlySolvable:  pipelineInLimits,
 		CandidatePeriods: pipelineCandidatePeriods,
 		Anytime:          solvePipelineAnytime,
 		SeedMix: func(pr Problem, mix func(float64)) {
@@ -95,9 +88,10 @@ func init() {
 		SolverEntry{MethodBinarySearchDP, true, "Theorem 8", solvePipeHetHomLatencyUnderPeriodNoDP, nil})
 	register(CellKey{kind, false, true, false, PeriodUnderLatency},
 		SolverEntry{MethodBinarySearchDP, true, "Theorem 8", solvePipeHetHomPeriodUnderLatencyNoDP, nil})
+	hard := preparedOnce(preparePipelineHard, solvePipelineHeuristic)
 	for _, obj := range []Objective{MinPeriod, LatencyUnderPeriod, PeriodUnderLatency} {
 		register(CellKey{kind, false, false, false, obj},
-			SolverEntry{MethodExhaustive, true, "Theorem 9", solvePipelineHard, preparePipelineHard})
+			SolverEntry{MethodExhaustive, true, "Theorem 9", hard, preparePipelineHard})
 	}
 
 	// Data-parallelism on heterogeneous platforms is NP-hard across the
@@ -106,7 +100,7 @@ func init() {
 	for _, gh := range bools {
 		for _, obj := range []Objective{MinPeriod, MinLatency, LatencyUnderPeriod, PeriodUnderLatency} {
 			register(CellKey{kind, false, gh, true, obj},
-				SolverEntry{MethodExhaustive, true, "Theorem 5", solvePipelineHard, preparePipelineHard})
+				SolverEntry{MethodExhaustive, true, "Theorem 5", hard, preparePipelineHard})
 		}
 	}
 }
@@ -138,11 +132,7 @@ func solvePipeHomBiCriteriaNoDP(_ context.Context, pr Problem, _ Options) (Solut
 	if err != nil {
 		return Solution{}, err
 	}
-	bounded := res.Cost.Period
-	if pr.Objective == PeriodUnderLatency {
-		bounded = res.Cost.Latency
-	}
-	if numeric.Greater(bounded, pr.Bound) {
+	if !goalOf(pr).Feasible(res.Cost) {
 		return infeasible(MethodClosedForm, true, cl), nil
 	}
 	return pipeSolution(res.Mapping, res.Cost, MethodClosedForm, true, cl), nil
@@ -224,69 +214,51 @@ func solvePipeHetHomPeriodUnderLatencyNoDP(_ context.Context, pr Problem, _ Opti
 
 // --- NP-hard cells ---------------------------------------------------------
 
-// solvePipelineHard handles the NP-hard pipeline cells: exact exhaustive
-// search (with cancellation checkpoints) when the platform is small enough,
-// polynomial heuristics otherwise.
-func solvePipelineHard(ctx context.Context, pr Problem, opts Options) (Solution, error) {
-	pl := pr.Platform
+// pipelineInLimits reports whether a pipeline instance is within the
+// exhaustive limits of the bitmask DP, whose cost grows as 3^p.
+func pipelineInLimits(pr Problem, opts Options) bool {
+	return pr.Platform.Processors() <= opts.MaxExhaustivePipelineProcs
+}
+
+// solvePipelineHeuristic solves the NP-hard pipeline cells beyond the
+// exhaustive limits: the best polynomial heuristic candidate that meets
+// the bound (if any).
+func solvePipelineHeuristic(_ context.Context, pr Problem, _ Options) (Solution, error) {
 	cl := classificationOf(pr)
-	if pl.Processors() <= opts.MaxExhaustivePipelineProcs {
-		res, ok, err := exhaustivePipeline(ctx, pr)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return pipeSolution(res.Mapping, res.Cost, MethodExhaustive, true, cl), nil
-	}
-	// Heuristic path: gather candidate mappings and pick the best that
-	// meets the bound (if any).
 	maps, costs := pipelineHeuristicCandidates(pr)
-	idx, okBest := pickBestIndex(costs, pr)
-	if !okBest {
+	idx, ok := pickBestIndex(costs, pr)
+	if !ok {
 		return infeasible(MethodHeuristic, false, cl), nil
 	}
 	return pipeSolution(maps[idx], costs[idx], MethodHeuristic, false, cl), nil
 }
 
-// exhaustivePipeline runs the exact exponential search matching pr's
-// objective — the single dispatch shared by the unbudgeted exact path
-// and the anytime portfolio's exact member. The DP always runs serially:
-// Parallelism has no effect on pipelines.
-func exhaustivePipeline(ctx context.Context, pr Problem) (exhaustive.PipelineResult, bool, error) {
-	pp := exhaustive.NewPipelinePrepared(*pr.Pipeline, pr.Platform, pr.AllowDataParallel)
-	return preparedPipelineDispatch(ctx, pp, pr)
-}
-
-// preparedPipelineDispatch is exhaustivePipeline on a shared prepared
-// solver: same dispatch, same results, none of the per-solve setup.
-func preparedPipelineDispatch(ctx context.Context, pp *exhaustive.PipelinePrepared, pr Problem) (exhaustive.PipelineResult, bool, error) {
-	switch pr.Objective {
-	case MinPeriod:
-		return pp.Period(ctx)
-	case MinLatency:
-		return pp.Latency(ctx)
-	case LatencyUnderPeriod:
-		return pp.LatencyUnderPeriod(ctx, pr.Bound)
-	default:
-		return pp.PeriodUnderLatency(ctx, pr.Bound)
-	}
-}
-
 // preparePipelineHard is the registry Prepare capability of the NP-hard
 // pipeline cells: within the exhaustive limits it shares one
 // exhaustive.PipelinePrepared — platform tables, epoch-reset DP arrays,
-// candidate periods, per-bound memo — across every solve of the family,
-// byte-identical to solvePipelineHard. Outside the limits it returns nil
-// (the heuristic path has no per-solve setup worth sharing).
+// candidate periods, per-bound memo — across every solve of the family.
+// The DP always runs serially, so the cell has no SetParallelism. Outside
+// the limits it returns nil, and the one-shot solver takes
+// solvePipelineHeuristic.
 func preparePipelineHard(pr Problem, opts Options) *PreparedCell {
-	if pr.Platform.Processors() > opts.MaxExhaustivePipelineProcs {
+	if !pipelineInLimits(pr, opts) {
 		return nil
 	}
 	pp := exhaustive.NewPipelinePrepared(*pr.Pipeline, pr.Platform, pr.AllowDataParallel)
-	solve := func(ctx context.Context, pr Problem) (Solution, error) {
-		res, ok, err := preparedPipelineDispatch(ctx, pp, pr)
+	return &PreparedCell{Solve: exhaustiveSolve(pp, pipeSolution)}
+}
+
+// goalSolver is a prepared exhaustive solver of one legacy kind.
+type goalSolver[M any] interface {
+	Solve(ctx context.Context, goal mapping.Goal) (exhaustive.Result[M], bool, error)
+}
+
+// exhaustiveSolve is the prepared solve of a legacy NP-hard cell within
+// the exhaustive limits: s answers goalOf(pr), and wrap builds the
+// kind's exact Solution.
+func exhaustiveSolve[M any](s goalSolver[M], wrap func(M, mapping.Cost, Method, bool, Classification) Solution) PreparedSolve {
+	return func(ctx context.Context, pr Problem) (Solution, error) {
+		res, ok, err := s.Solve(ctx, goalOf(pr))
 		if err != nil {
 			return Solution{}, err
 		}
@@ -294,9 +266,8 @@ func preparePipelineHard(pr Problem, opts Options) *PreparedCell {
 		if !ok {
 			return infeasible(MethodExhaustive, true, cl), nil
 		}
-		return pipeSolution(res.Mapping, res.Cost, MethodExhaustive, true, cl), nil
+		return wrap(res.Mapping, res.Cost, MethodExhaustive, true, cl), nil
 	}
-	return &PreparedCell{Solve: solve}
 }
 
 // pipelineHeuristicCandidates returns the polynomial heuristic mappings
@@ -314,7 +285,7 @@ func pipelineHeuristicCandidates(pr Problem) ([]mapping.PipelineMapping, []mappi
 		}
 	}
 	if pr.AllowDataParallel {
-		m, c, err := heuristics.HetPipelineWithDP(p, pl, pr.Objective == MinPeriod || pr.Objective == PeriodUnderLatency)
+		m, c, err := heuristics.HetPipelineWithDP(p, pl, goalOf(pr).MinimizePeriod)
 		add(m, c, err)
 		m, c, err = heuristics.HetPipelineWithDP(p, pl, false)
 		add(m, c, err)
@@ -342,11 +313,4 @@ func pickBestIndex(costs []mapping.Cost, pr Problem) (int, bool) {
 		}
 	}
 	return best, best >= 0
-}
-
-func objectiveValue(c mapping.Cost, o Objective) float64 {
-	if o == MinPeriod || o == PeriodUnderLatency {
-		return c.Period
-	}
-	return c.Latency
 }

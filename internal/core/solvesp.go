@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
@@ -32,18 +33,18 @@ func init() {
 		// no-dp cells exist.
 		Classify:           classifySP,
 		ExactlySolvable:    spExactlySolvable,
-		Preparable:         spPreparable,
 		ParallelWorthwhile: spParallelWorthwhile,
 		CandidatePeriods:   spCandidatePeriods,
 		Anytime:            solveSPAnytime,
 		SeedMix:            spSeedMix,
 		AppendFingerprint:  appendSPFingerprint,
 	})
+	solve := preparedOnce(prepareSP, solveSPReduced)
 	for _, platHom := range []bool{false, true} {
 		for _, graphHom := range []bool{false, true} {
 			for _, obj := range []Objective{MinPeriod, MinLatency, LatencyUnderPeriod, PeriodUnderLatency} {
 				register(CellKey{workflow.KindSP, platHom, graphHom, false, obj},
-					SolverEntry{MethodExhaustive, true, "SP decomposition", solveSP, prepareSP})
+					SolverEntry{MethodExhaustive, true, "SP decomposition", solve, prepareSP})
 			}
 		}
 	}
@@ -116,19 +117,6 @@ func spExactlySolvable(pr Problem, opts Options) bool {
 		return ExactlySolvable(spSubProblem(pr, red), opts)
 	}
 	return spInLimits(pr, opts)
-}
-
-// spPreparable: reducible instances prepare iff the reduced legacy kind
-// does (the prepared sub-solver is what gets shared); irreducible ones
-// always prepare — the block enumeration's scratch and memo within the
-// limits, the cached heuristic candidate set beyond them.
-func spPreparable(pr Problem, opts Options) bool {
-	if red, ok := spdecomp.Reduce(*pr.SP); ok {
-		sub := spSubProblem(pr, red)
-		spec := specOf(sub)
-		return spec != nil && spec.Preparable != nil && spec.Preparable(sub, opts)
-	}
-	return true
 }
 
 // spParallelWorthwhile: reducible instances inherit the reduced kind's
@@ -206,38 +194,28 @@ func wrapSPSolution(sol Solution, red spdecomp.Reduction, cl Classification) Sol
 	return out
 }
 
-// solveSP is the registered solver of every SP cell.
-func solveSP(ctx context.Context, pr Problem, opts Options) (Solution, error) {
-	cl := classificationOf(pr)
-	g := *pr.SP
-	if red, ok := spdecomp.Reduce(g); ok {
-		sol, err := SolveContext(ctx, spSubProblem(pr, red), opts)
-		if err != nil {
-			return Solution{}, err
-		}
-		return wrapSPSolution(sol, red, cl), nil
+// solveSPReduced solves an SP instance that prepareSP declines: an exact
+// reduction whose legacy cell has no prepared solver for the instance
+// (a polynomial cell, or one beyond its exhaustive limits) is solved by
+// that cell and wrapped back into SP form.
+func solveSPReduced(ctx context.Context, pr Problem, opts Options) (Solution, error) {
+	red, ok := spdecomp.Reduce(*pr.SP)
+	if !ok {
+		// prepareSP prepares every valid irreducible instance.
+		return Solution{}, WithErrKind(ErrKindNoSolver,
+			fmt.Errorf("core: irreducible SP cell %v could not prepare the instance", CellKeyOf(pr)))
 	}
-	goal := goalOf(pr)
-	if spInLimits(pr, opts) {
-		pp, err := spdecomp.NewPrepared(g, pr.Platform)
-		if err != nil {
-			return Solution{}, err
-		}
-		pp.SetParallelism(searchParallelism(opts, pr))
-		blocks, cost, ok, err := pp.Exhaustive(ctx, goal)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return spSolution(blocks, cost, MethodExhaustive, true, cl), nil
+	return solveSPReduction(ctx, pr, red, opts)
+}
+
+// solveSPReduction solves the legacy sub-problem of an exact reduction
+// through its own cell and lifts the result into SP form.
+func solveSPReduction(ctx context.Context, pr Problem, red spdecomp.Reduction, opts Options) (Solution, error) {
+	sol, err := SolveContext(ctx, spSubProblem(pr, red), opts)
+	if err != nil {
+		return Solution{}, err
 	}
-	cand, ok := spdecomp.Best(spdecomp.Heuristics(g, pr.Platform), goal)
-	if !ok || !goal.Feasible(cand.Cost) {
-		return infeasible(MethodHeuristic, false, cl), nil
-	}
-	return spSolution(cand.Blocks, cand.Cost, MethodHeuristic, false, cl), nil
+	return wrapSPSolution(sol, red, classificationOf(pr)), nil
 }
 
 // solveSPAnytime is the Anytime capability of the SP kind. Exact
@@ -250,11 +228,7 @@ func solveSPAnytime(ctx context.Context, pr Problem, opts Options) (Solution, er
 	cl := classificationOf(pr)
 	g := *pr.SP
 	if red, ok := spdecomp.Reduce(g); ok {
-		sol, err := SolveContext(ctx, spSubProblem(pr, red), opts)
-		if err != nil {
-			return Solution{}, err
-		}
-		return wrapSPSolution(sol, red, cl), nil
+		return solveSPReduction(ctx, pr, red, opts)
 	}
 	goal := goalOf(pr)
 	// Within the exhaustive limits, try to certify the true optimum inside
@@ -309,11 +283,12 @@ func solveSPAnytime(ctx context.Context, pr Problem, opts Options) (Solution, er
 // prepareSP is the Prepare capability of the SP cells: when the graph
 // reduces exactly and the reduced cell advertises preparation, the
 // sub-problem's prepared solver is shared across the objective family and
-// each solve is wrapped back into SP form — byte-identical to solveSP.
-// Irreducible DAGs share a spdecomp.Prepared: the cached decomposition
-// state (topological order, evaluation scratch, certified bounds), the
-// enumeration buffers and per-goal memo within the exhaustive limits,
-// and the goal-independent heuristic candidate set beyond them.
+// each solve is wrapped back into SP form; otherwise it returns nil and
+// the one-shot solver takes solveSPReduced. Irreducible DAGs share a
+// spdecomp.Prepared: the cached decomposition state (topological order,
+// evaluation scratch, certified bounds), the enumeration buffers and
+// per-goal memo within the exhaustive limits, and the goal-independent
+// heuristic candidate set beyond them.
 func prepareSP(pr Problem, opts Options) *PreparedCell {
 	red, ok := spdecomp.Reduce(*pr.SP)
 	if !ok {
@@ -331,21 +306,17 @@ func prepareSP(pr Problem, opts Options) *PreparedCell {
 	solve := func(ctx context.Context, pr2 Problem) (Solution, error) {
 		sub2 := sub
 		sub2.Objective, sub2.Bound = pr2.Objective, pr2.Bound
-		var (
-			sol Solution
-			err error
-		)
 		// Route through the shared prepared cell only for objectives whose
 		// reduced cell registers the prepared capability — the same
 		// per-objective gate Prepare applies to direct legacy problems.
 		// Objectives answered by a polynomial cell (e.g. closed-form
-		// min-latency) dispatch through SolveContext, like solveSP, so the
-		// solution metadata stays byte-identical to the unprepared path.
-		if e2, ok2 := registry[CellKeyOf(sub2)]; ok2 && e2.Prepare != nil {
-			sol, err = pc.Solve(ctx, sub2)
-		} else {
-			sol, err = SolveContext(ctx, sub2, opts)
+		// min-latency) go through that cell's solver, like solveSPReduced,
+		// so the solution metadata stays byte-identical to the one-shot
+		// path.
+		if e2, ok := registry[CellKeyOf(sub2)]; !ok || e2.Prepare == nil {
+			return solveSPReduction(ctx, pr2, red, opts)
 		}
+		sol, err := pc.Solve(ctx, sub2)
 		if err != nil {
 			return Solution{}, err
 		}
@@ -355,10 +326,10 @@ func prepareSP(pr Problem, opts Options) *PreparedCell {
 }
 
 // prepareSPIrreducible shares one spdecomp.Prepared across the objective
-// family of an irreducible SP instance, byte-identical to solveSP: the
-// in-limit branch runs the (optionally partitioned) exhaustive block
-// search with persistent scratch and a per-goal memo, the oversized
-// branch reuses the goal-independent heuristic candidate set.
+// family of an irreducible SP instance: the in-limit branch runs the
+// (optionally partitioned) exhaustive block search with persistent
+// scratch and a per-goal memo, the oversized branch reuses the
+// goal-independent heuristic candidate set.
 func prepareSPIrreducible(pr Problem, opts Options) *PreparedCell {
 	pp, err := spdecomp.NewPrepared(*pr.SP, pr.Platform)
 	if err != nil {

@@ -28,8 +28,9 @@
 // solves: the per-platform subset tables (cached process-wide, see
 // tableFor), the DP/enumeration scratch memory (reset by epoch counters,
 // never reallocated), the candidate-period sets, and a per-bound result
-// memo. Their results are byte-identical to the one-shot entry points,
-// which are themselves thin wrappers over a prepared solver used once.
+// memo. Each answers any mapping.Goal through one Solve method, and its
+// results are byte-identical to the one-shot entry points, which are
+// themselves thin wrappers over a prepared solver used once.
 package exhaustive
 
 import (

@@ -199,8 +199,8 @@ func EnumerateFork(f workflow.Fork, pl platform.Platform, allowDP bool, visit fu
 // ForkPrepared solves repeated objective/bound variants of one
 // (fork, platform, model) triple: enumeration scratch is shared across
 // solves, the anytime lower bounds are computed once per objective, and
-// bounded solves are memoized by goal. Results are byte-identical to the
-// one-shot package functions, which wrap a prepared solver used once.
+// solves are memoized by goal. Results are byte-identical to the one-shot
+// package functions, which wrap a prepared solver used once.
 // Not safe for concurrent use.
 type ForkPrepared struct {
 	blockPrepared[mapping.ForkMapping]
@@ -216,50 +216,24 @@ func NewForkPrepared(f workflow.Fork, pl platform.Platform, allowDP bool) *ForkP
 
 // ForkPeriod returns a fork mapping minimizing the period.
 func ForkPeriod(f workflow.Fork, pl platform.Platform, allowDP bool) (ForkResult, bool) {
-	res, ok, _ := ForkPeriodCtx(context.Background(), f, pl, allowDP)
-	return res, ok
-}
-
-// ForkPeriodCtx is ForkPeriod with cancellation checkpoints.
-func ForkPeriodCtx(ctx context.Context, f workflow.Fork, pl platform.Platform, allowDP bool) (ForkResult, bool, error) {
-	return NewForkPrepared(f, pl, allowDP).Period(ctx)
+	return once(NewForkPrepared(f, pl, allowDP).Solve(context.Background(), mapping.Goal{MinimizePeriod: true}))
 }
 
 // ForkLatency returns a fork mapping minimizing the latency.
 func ForkLatency(f workflow.Fork, pl platform.Platform, allowDP bool) (ForkResult, bool) {
-	res, ok, _ := ForkLatencyCtx(context.Background(), f, pl, allowDP)
-	return res, ok
-}
-
-// ForkLatencyCtx is ForkLatency with cancellation checkpoints.
-func ForkLatencyCtx(ctx context.Context, f workflow.Fork, pl platform.Platform, allowDP bool) (ForkResult, bool, error) {
-	return NewForkPrepared(f, pl, allowDP).Latency(ctx)
+	return once(NewForkPrepared(f, pl, allowDP).Solve(context.Background(), mapping.Goal{}))
 }
 
 // ForkLatencyUnderPeriod returns a fork mapping minimizing the latency
 // among mappings whose period does not exceed maxPeriod.
 func ForkLatencyUnderPeriod(f workflow.Fork, pl platform.Platform, allowDP bool, maxPeriod float64) (ForkResult, bool) {
-	res, ok, _ := ForkLatencyUnderPeriodCtx(context.Background(), f, pl, allowDP, maxPeriod)
-	return res, ok
-}
-
-// ForkLatencyUnderPeriodCtx is ForkLatencyUnderPeriod with cancellation
-// checkpoints.
-func ForkLatencyUnderPeriodCtx(ctx context.Context, f workflow.Fork, pl platform.Platform, allowDP bool, maxPeriod float64) (ForkResult, bool, error) {
-	return NewForkPrepared(f, pl, allowDP).LatencyUnderPeriod(ctx, maxPeriod)
+	return once(NewForkPrepared(f, pl, allowDP).Solve(context.Background(), mapping.Goal{PeriodCap: maxPeriod}))
 }
 
 // ForkPeriodUnderLatency returns a fork mapping minimizing the period among
 // mappings whose latency does not exceed maxLatency.
 func ForkPeriodUnderLatency(f workflow.Fork, pl platform.Platform, allowDP bool, maxLatency float64) (ForkResult, bool) {
-	res, ok, _ := ForkPeriodUnderLatencyCtx(context.Background(), f, pl, allowDP, maxLatency)
-	return res, ok
-}
-
-// ForkPeriodUnderLatencyCtx is ForkPeriodUnderLatency with cancellation
-// checkpoints.
-func ForkPeriodUnderLatencyCtx(ctx context.Context, f workflow.Fork, pl platform.Platform, allowDP bool, maxLatency float64) (ForkResult, bool, error) {
-	return NewForkPrepared(f, pl, allowDP).PeriodUnderLatency(ctx, maxLatency)
+	return once(NewForkPrepared(f, pl, allowDP).Solve(context.Background(), mapping.Goal{MinimizePeriod: true, LatencyCap: maxLatency}))
 }
 
 // ForkPareto returns the exact Pareto front of (period, latency) over all

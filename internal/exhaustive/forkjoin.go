@@ -229,46 +229,20 @@ func NewForkJoinPrepared(fj workflow.ForkJoin, pl platform.Platform, allowDP boo
 
 // ForkJoinPeriod returns a fork-join mapping minimizing the period.
 func ForkJoinPeriod(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) (ForkJoinResult, bool) {
-	res, ok, _ := ForkJoinPeriodCtx(context.Background(), fj, pl, allowDP)
-	return res, ok
-}
-
-// ForkJoinPeriodCtx is ForkJoinPeriod with cancellation checkpoints.
-func ForkJoinPeriodCtx(ctx context.Context, fj workflow.ForkJoin, pl platform.Platform, allowDP bool) (ForkJoinResult, bool, error) {
-	return NewForkJoinPrepared(fj, pl, allowDP).Period(ctx)
+	return once(NewForkJoinPrepared(fj, pl, allowDP).Solve(context.Background(), mapping.Goal{MinimizePeriod: true}))
 }
 
 // ForkJoinLatency returns a fork-join mapping minimizing the latency.
 func ForkJoinLatency(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) (ForkJoinResult, bool) {
-	res, ok, _ := ForkJoinLatencyCtx(context.Background(), fj, pl, allowDP)
-	return res, ok
-}
-
-// ForkJoinLatencyCtx is ForkJoinLatency with cancellation checkpoints.
-func ForkJoinLatencyCtx(ctx context.Context, fj workflow.ForkJoin, pl platform.Platform, allowDP bool) (ForkJoinResult, bool, error) {
-	return NewForkJoinPrepared(fj, pl, allowDP).Latency(ctx)
+	return once(NewForkJoinPrepared(fj, pl, allowDP).Solve(context.Background(), mapping.Goal{}))
 }
 
 // ForkJoinLatencyUnderPeriod minimizes latency under a period bound.
 func ForkJoinLatencyUnderPeriod(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, maxPeriod float64) (ForkJoinResult, bool) {
-	res, ok, _ := ForkJoinLatencyUnderPeriodCtx(context.Background(), fj, pl, allowDP, maxPeriod)
-	return res, ok
-}
-
-// ForkJoinLatencyUnderPeriodCtx is ForkJoinLatencyUnderPeriod with
-// cancellation checkpoints.
-func ForkJoinLatencyUnderPeriodCtx(ctx context.Context, fj workflow.ForkJoin, pl platform.Platform, allowDP bool, maxPeriod float64) (ForkJoinResult, bool, error) {
-	return NewForkJoinPrepared(fj, pl, allowDP).LatencyUnderPeriod(ctx, maxPeriod)
+	return once(NewForkJoinPrepared(fj, pl, allowDP).Solve(context.Background(), mapping.Goal{PeriodCap: maxPeriod}))
 }
 
 // ForkJoinPeriodUnderLatency minimizes period under a latency bound.
 func ForkJoinPeriodUnderLatency(fj workflow.ForkJoin, pl platform.Platform, allowDP bool, maxLatency float64) (ForkJoinResult, bool) {
-	res, ok, _ := ForkJoinPeriodUnderLatencyCtx(context.Background(), fj, pl, allowDP, maxLatency)
-	return res, ok
-}
-
-// ForkJoinPeriodUnderLatencyCtx is ForkJoinPeriodUnderLatency with
-// cancellation checkpoints.
-func ForkJoinPeriodUnderLatencyCtx(ctx context.Context, fj workflow.ForkJoin, pl platform.Platform, allowDP bool, maxLatency float64) (ForkJoinResult, bool, error) {
-	return NewForkJoinPrepared(fj, pl, allowDP).PeriodUnderLatency(ctx, maxLatency)
+	return once(NewForkJoinPrepared(fj, pl, allowDP).Solve(context.Background(), mapping.Goal{MinimizePeriod: true, LatencyCap: maxLatency}))
 }

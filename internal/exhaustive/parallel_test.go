@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repliflow/internal/mapping"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
@@ -47,10 +48,14 @@ func TestParallelForkScanIdentity(t *testing.T) {
 					trial, name, par, got, gotOK, want, wantOK, f, pl, dp)
 			}
 		}
-		check("period", func(fp *ForkPrepared) (ForkResult, bool, error) { return fp.Period(ctx) })
-		check("latency", func(fp *ForkPrepared) (ForkResult, bool, error) { return fp.Latency(ctx) })
-		check("lup", func(fp *ForkPrepared) (ForkResult, bool, error) { return fp.LatencyUnderPeriod(ctx, b) })
-		check("pul", func(fp *ForkPrepared) (ForkResult, bool, error) { return fp.PeriodUnderLatency(ctx, b) })
+		check("period", func(fp *ForkPrepared) (ForkResult, bool, error) {
+			return fp.Solve(ctx, mapping.Goal{MinimizePeriod: true})
+		})
+		check("latency", func(fp *ForkPrepared) (ForkResult, bool, error) { return fp.Solve(ctx, mapping.Goal{}) })
+		check("lup", func(fp *ForkPrepared) (ForkResult, bool, error) { return fp.Solve(ctx, mapping.Goal{PeriodCap: b}) })
+		check("pul", func(fp *ForkPrepared) (ForkResult, bool, error) {
+			return fp.Solve(ctx, mapping.Goal{MinimizePeriod: true, LatencyCap: b})
+		})
 	}
 }
 
@@ -84,9 +89,15 @@ func TestParallelForkJoinScanIdentity(t *testing.T) {
 					trial, name, par, got, gotOK, want, wantOK, fj, pl, dp)
 			}
 		}
-		check("period", func(fp *ForkJoinPrepared) (ForkJoinResult, bool, error) { return fp.Period(ctx) })
-		check("latency", func(fp *ForkJoinPrepared) (ForkJoinResult, bool, error) { return fp.Latency(ctx) })
-		check("lup", func(fp *ForkJoinPrepared) (ForkJoinResult, bool, error) { return fp.LatencyUnderPeriod(ctx, b) })
-		check("pul", func(fp *ForkJoinPrepared) (ForkJoinResult, bool, error) { return fp.PeriodUnderLatency(ctx, b) })
+		check("period", func(fp *ForkJoinPrepared) (ForkJoinResult, bool, error) {
+			return fp.Solve(ctx, mapping.Goal{MinimizePeriod: true})
+		})
+		check("latency", func(fp *ForkJoinPrepared) (ForkJoinResult, bool, error) { return fp.Solve(ctx, mapping.Goal{}) })
+		check("lup", func(fp *ForkJoinPrepared) (ForkJoinResult, bool, error) {
+			return fp.Solve(ctx, mapping.Goal{PeriodCap: b})
+		})
+		check("pul", func(fp *ForkJoinPrepared) (ForkJoinResult, bool, error) {
+			return fp.Solve(ctx, mapping.Goal{MinimizePeriod: true, LatencyCap: b})
+		})
 	}
 }

@@ -268,9 +268,9 @@ type PipelinePrepared struct {
 	allowDP bool
 	s       *pipeSolver
 	// cands is the lazily built candidate-period set of
-	// PeriodUnderLatency's binary search.
+	// periodUnderLatency's binary search.
 	cands []float64
-	// lup memoizes LatencyUnderPeriod solves by the period cap's bits
+	// lup memoizes latencyUnderPeriod solves by the period cap's bits
 	// (math.Float64bits, so caps differing by one ULP stay distinct).
 	// +Inf is the unbounded MinLatency solve.
 	lup map[uint64]pipeMemo
@@ -299,8 +299,44 @@ func (m pipeMemo) clone() (PipelineResult, bool) {
 	return res, m.ok
 }
 
-// Period solves MinPeriod.
-func (pp *PipelinePrepared) Period(ctx context.Context) (PipelineResult, bool, error) {
+// Solve answers one goal on the shared state: min-latency goals run the
+// DP under the period cap, min-period goals binary-search the candidate
+// periods under the latency cap, and a cap on the minimized metric itself
+// is checked on the optimum. A zero cap leaves its metric unbounded, as in
+// mapping.Goal; a negative or NaN cap admits no mapping.
+func (pp *PipelinePrepared) Solve(ctx context.Context, goal mapping.Goal) (PipelineResult, bool, error) {
+	if !capsAdmit(goal) {
+		return PipelineResult{}, false, nil
+	}
+	var (
+		res PipelineResult
+		ok  bool
+		err error
+	)
+	switch {
+	case !goal.MinimizePeriod:
+		periodCap := goal.PeriodCap
+		if periodCap == 0 {
+			periodCap = numeric.Inf
+		}
+		res, ok, err = pp.latencyUnderPeriod(ctx, periodCap)
+	case goal.LatencyCap > 0:
+		res, ok, err = pp.periodUnderLatency(ctx, goal.LatencyCap)
+	default:
+		res, ok, err = pp.minPeriod(ctx)
+	}
+	selfCap := goal.LatencyCap
+	if goal.MinimizePeriod {
+		selfCap = goal.PeriodCap
+	}
+	if ok && selfCap > 0 && numeric.Greater(goal.Value(res.Cost), selfCap) {
+		return PipelineResult{}, false, nil
+	}
+	return res, ok, err
+}
+
+// minPeriod solves MinPeriod.
+func (pp *PipelinePrepared) minPeriod(ctx context.Context) (PipelineResult, bool, error) {
 	if !pp.hasPeriod {
 		pp.s.reset(ctx, numeric.Inf, true)
 		res, ok, err := pp.s.result()
@@ -314,14 +350,9 @@ func (pp *PipelinePrepared) Period(ctx context.Context) (PipelineResult, bool, e
 	return res, ok, nil
 }
 
-// Latency solves MinLatency.
-func (pp *PipelinePrepared) Latency(ctx context.Context) (PipelineResult, bool, error) {
-	return pp.LatencyUnderPeriod(ctx, numeric.Inf)
-}
-
-// LatencyUnderPeriod solves min-latency under the period cap. Repeated
+// latencyUnderPeriod solves min-latency under the period cap. Repeated
 // caps (bit-identical floats) are answered from the memo.
-func (pp *PipelinePrepared) LatencyUnderPeriod(ctx context.Context, maxPeriod float64) (PipelineResult, bool, error) {
+func (pp *PipelinePrepared) latencyUnderPeriod(ctx context.Context, maxPeriod float64) (PipelineResult, bool, error) {
 	key := math.Float64bits(maxPeriod)
 	m, hit := pp.lup[key]
 	if !hit {
@@ -346,19 +377,19 @@ func (pp *PipelinePrepared) candidates() []float64 {
 	return pp.cands
 }
 
-// PeriodUnderLatency solves min-period under the latency cap by binary
+// periodUnderLatency solves min-period under the latency cap by binary
 // search over the (cached) finite set of achievable group periods; every
-// probe shares the DP arrays and feeds the LatencyUnderPeriod memo, so
+// probe shares the DP arrays and feeds the latencyUnderPeriod memo, so
 // overlapping searches (the tightening probes of a Pareto sweep) skip
 // their common prefixes entirely.
-func (pp *PipelinePrepared) PeriodUnderLatency(ctx context.Context, maxLatency float64) (PipelineResult, bool, error) {
+func (pp *PipelinePrepared) periodUnderLatency(ctx context.Context, maxLatency float64) (PipelineResult, bool, error) {
 	cands := pp.candidates()
 	lo, hi := 0, len(cands)-1
 	var best PipelineResult
 	found := false
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		res, ok, err := pp.LatencyUnderPeriod(ctx, cands[mid])
+		res, ok, err := pp.latencyUnderPeriod(ctx, cands[mid])
 		if err != nil {
 			return PipelineResult{}, false, err
 		}
@@ -373,56 +404,21 @@ func (pp *PipelinePrepared) PeriodUnderLatency(ctx context.Context, maxLatency f
 	return best, found, nil
 }
 
-// Solve dispatches on (minimizePeriod, bound): the four objective shapes
-// of the Table 1 bi-criteria columns, sharing one prepared state.
-// Unbounded solves pass bound = +Inf.
-func (pp *PipelinePrepared) Solve(ctx context.Context, minimizePeriod bool, bound float64) (PipelineResult, bool, error) {
-	switch {
-	case minimizePeriod && math.IsInf(bound, 1):
-		return pp.Period(ctx)
-	case minimizePeriod:
-		return pp.PeriodUnderLatency(ctx, bound)
-	default:
-		return pp.LatencyUnderPeriod(ctx, bound)
-	}
-}
-
 // PipelinePeriod returns a mapping minimizing the period.
 func PipelinePeriod(p workflow.Pipeline, pl platform.Platform, allowDP bool) (PipelineResult, bool) {
-	res, ok, _ := PipelinePeriodCtx(context.Background(), p, pl, allowDP)
-	return res, ok
-}
-
-// PipelinePeriodCtx is PipelinePeriod with cancellation checkpoints: when
-// ctx is cancelled mid-search the error is ctx.Err() and the result is
-// discarded.
-func PipelinePeriodCtx(ctx context.Context, p workflow.Pipeline, pl platform.Platform, allowDP bool) (PipelineResult, bool, error) {
-	return NewPipelinePrepared(p, pl, allowDP).Period(ctx)
+	return once(NewPipelinePrepared(p, pl, allowDP).Solve(context.Background(), mapping.Goal{MinimizePeriod: true}))
 }
 
 // PipelineLatency returns a mapping minimizing the latency.
 func PipelineLatency(p workflow.Pipeline, pl platform.Platform, allowDP bool) (PipelineResult, bool) {
-	res, ok, _ := PipelineLatencyCtx(context.Background(), p, pl, allowDP)
-	return res, ok
-}
-
-// PipelineLatencyCtx is PipelineLatency with cancellation checkpoints.
-func PipelineLatencyCtx(ctx context.Context, p workflow.Pipeline, pl platform.Platform, allowDP bool) (PipelineResult, bool, error) {
-	return NewPipelinePrepared(p, pl, allowDP).Latency(ctx)
+	return once(NewPipelinePrepared(p, pl, allowDP).Solve(context.Background(), mapping.Goal{}))
 }
 
 // PipelineLatencyUnderPeriod returns a mapping minimizing the latency among
 // mappings whose period does not exceed maxPeriod. The boolean is false
 // when no mapping satisfies the period bound.
 func PipelineLatencyUnderPeriod(p workflow.Pipeline, pl platform.Platform, allowDP bool, maxPeriod float64) (PipelineResult, bool) {
-	res, ok, _ := PipelineLatencyUnderPeriodCtx(context.Background(), p, pl, allowDP, maxPeriod)
-	return res, ok
-}
-
-// PipelineLatencyUnderPeriodCtx is PipelineLatencyUnderPeriod with
-// cancellation checkpoints.
-func PipelineLatencyUnderPeriodCtx(ctx context.Context, p workflow.Pipeline, pl platform.Platform, allowDP bool, maxPeriod float64) (PipelineResult, bool, error) {
-	return NewPipelinePrepared(p, pl, allowDP).LatencyUnderPeriod(ctx, maxPeriod)
+	return once(NewPipelinePrepared(p, pl, allowDP).Solve(context.Background(), mapping.Goal{PeriodCap: maxPeriod}))
 }
 
 // pipelinePeriodCandidates returns every achievable group period of any
@@ -454,14 +450,7 @@ func pipelinePeriodCandidates(p workflow.Pipeline, pl platform.Platform, allowDP
 // finite set of achievable group periods, so the result is exact. The
 // boolean is false when no mapping satisfies the latency bound.
 func PipelinePeriodUnderLatency(p workflow.Pipeline, pl platform.Platform, allowDP bool, maxLatency float64) (PipelineResult, bool) {
-	res, ok, _ := PipelinePeriodUnderLatencyCtx(context.Background(), p, pl, allowDP, maxLatency)
-	return res, ok
-}
-
-// PipelinePeriodUnderLatencyCtx is PipelinePeriodUnderLatency with
-// cancellation checkpoints.
-func PipelinePeriodUnderLatencyCtx(ctx context.Context, p workflow.Pipeline, pl platform.Platform, allowDP bool, maxLatency float64) (PipelineResult, bool, error) {
-	return NewPipelinePrepared(p, pl, allowDP).PeriodUnderLatency(ctx, maxLatency)
+	return once(NewPipelinePrepared(p, pl, allowDP).Solve(context.Background(), mapping.Goal{MinimizePeriod: true, LatencyCap: maxLatency}))
 }
 
 // PipelinePareto returns the exact Pareto front of (period, latency),
@@ -474,7 +463,7 @@ func PipelinePareto(p workflow.Pipeline, pl platform.Platform, allowDP bool) []P
 	prevLatency := numeric.Inf
 	ctx := context.Background()
 	for _, k := range cands {
-		res, ok, _ := pp.LatencyUnderPeriod(ctx, k)
+		res, ok, _ := pp.latencyUnderPeriod(ctx, k)
 		if !ok {
 			continue
 		}
@@ -482,7 +471,7 @@ func PipelinePareto(p workflow.Pipeline, pl platform.Platform, allowDP bool) []P
 			continue
 		}
 		// Tighten the period: find the smallest period achieving this latency.
-		tight, ok, _ := pp.PeriodUnderLatency(ctx, res.Cost.Latency)
+		tight, ok, _ := pp.periodUnderLatency(ctx, res.Cost.Latency)
 		if ok {
 			res = tight
 		}

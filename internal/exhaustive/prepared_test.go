@@ -2,14 +2,19 @@ package exhaustive
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
 )
+
+// minPeriod is the unbounded min-period goal.
+var minPeriod = mapping.Goal{MinimizePeriod: true}
 
 // A prepared solver answering a sequence of objective/bound solves must be
 // byte-identical to a freshly constructed solver per solve — resetting the
@@ -34,19 +39,27 @@ func TestPipelinePreparedMatchesFresh(t *testing.T) {
 		b1 := float64(1+rng.Intn(6)) / 2
 		b2 := float64(1+rng.Intn(8)) / 2
 		solves := []solve{
-			{"period", func() (PipelineResult, bool, error) { return pp.Period(ctx) },
-				func() (PipelineResult, bool, error) { return PipelinePeriodCtx(ctx, p, pl, dp) }},
-			{"lup", func() (PipelineResult, bool, error) { return pp.LatencyUnderPeriod(ctx, b1) },
-				func() (PipelineResult, bool, error) { return PipelineLatencyUnderPeriodCtx(ctx, p, pl, dp, b1) }},
-			{"latency", func() (PipelineResult, bool, error) { return pp.Latency(ctx) },
-				func() (PipelineResult, bool, error) { return PipelineLatencyCtx(ctx, p, pl, dp) }},
-			{"pul", func() (PipelineResult, bool, error) { return pp.PeriodUnderLatency(ctx, b2) },
-				func() (PipelineResult, bool, error) { return PipelinePeriodUnderLatencyCtx(ctx, p, pl, dp, b2) }},
+			{"period", func() (PipelineResult, bool, error) { return pp.Solve(ctx, minPeriod) },
+				func() (PipelineResult, bool, error) { return NewPipelinePrepared(p, pl, dp).Solve(ctx, minPeriod) }},
+			{"lup", func() (PipelineResult, bool, error) { return pp.Solve(ctx, mapping.Goal{PeriodCap: b1}) },
+				func() (PipelineResult, bool, error) {
+					return NewPipelinePrepared(p, pl, dp).Solve(ctx, mapping.Goal{PeriodCap: b1})
+				}},
+			{"latency", func() (PipelineResult, bool, error) { return pp.Solve(ctx, mapping.Goal{}) },
+				func() (PipelineResult, bool, error) { return NewPipelinePrepared(p, pl, dp).Solve(ctx, mapping.Goal{}) }},
+			{"pul", func() (PipelineResult, bool, error) {
+				return pp.Solve(ctx, mapping.Goal{MinimizePeriod: true, LatencyCap: b2})
+			},
+				func() (PipelineResult, bool, error) {
+					return NewPipelinePrepared(p, pl, dp).Solve(ctx, mapping.Goal{MinimizePeriod: true, LatencyCap: b2})
+				}},
 			// Repeats exercise the memo path.
-			{"lup-repeat", func() (PipelineResult, bool, error) { return pp.LatencyUnderPeriod(ctx, b1) },
-				func() (PipelineResult, bool, error) { return PipelineLatencyUnderPeriodCtx(ctx, p, pl, dp, b1) }},
-			{"period-repeat", func() (PipelineResult, bool, error) { return pp.Period(ctx) },
-				func() (PipelineResult, bool, error) { return PipelinePeriodCtx(ctx, p, pl, dp) }},
+			{"lup-repeat", func() (PipelineResult, bool, error) { return pp.Solve(ctx, mapping.Goal{PeriodCap: b1}) },
+				func() (PipelineResult, bool, error) {
+					return NewPipelinePrepared(p, pl, dp).Solve(ctx, mapping.Goal{PeriodCap: b1})
+				}},
+			{"period-repeat", func() (PipelineResult, bool, error) { return pp.Solve(ctx, minPeriod) },
+				func() (PipelineResult, bool, error) { return NewPipelinePrepared(p, pl, dp).Solve(ctx, minPeriod) }},
 		}
 		for _, s := range solves {
 			got, gotOK, err := s.prep()
@@ -74,6 +87,7 @@ func TestForkPreparedMatchesFresh(t *testing.T) {
 		dp := trial%2 == 0
 		fp := NewForkPrepared(f, pl, dp)
 		b := float64(1+rng.Intn(8)) / 2
+		lup, pul := mapping.Goal{PeriodCap: b}, mapping.Goal{MinimizePeriod: true, LatencyCap: b}
 
 		check := func(name string, prep, oneshot func() (ForkResult, bool, error)) {
 			t.Helper()
@@ -90,16 +104,16 @@ func TestForkPreparedMatchesFresh(t *testing.T) {
 					trial, name, got, gotOK, want, wantOK, f, pl, dp)
 			}
 		}
-		check("latency", func() (ForkResult, bool, error) { return fp.Latency(ctx) },
-			func() (ForkResult, bool, error) { return ForkLatencyCtx(ctx, f, pl, dp) })
-		check("pul", func() (ForkResult, bool, error) { return fp.PeriodUnderLatency(ctx, b) },
-			func() (ForkResult, bool, error) { return ForkPeriodUnderLatencyCtx(ctx, f, pl, dp, b) })
-		check("period", func() (ForkResult, bool, error) { return fp.Period(ctx) },
-			func() (ForkResult, bool, error) { return ForkPeriodCtx(ctx, f, pl, dp) })
-		check("lup", func() (ForkResult, bool, error) { return fp.LatencyUnderPeriod(ctx, b) },
-			func() (ForkResult, bool, error) { return ForkLatencyUnderPeriodCtx(ctx, f, pl, dp, b) })
-		check("lup-repeat", func() (ForkResult, bool, error) { return fp.LatencyUnderPeriod(ctx, b) },
-			func() (ForkResult, bool, error) { return ForkLatencyUnderPeriodCtx(ctx, f, pl, dp, b) })
+		check("latency", func() (ForkResult, bool, error) { return fp.Solve(ctx, mapping.Goal{}) },
+			func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Solve(ctx, mapping.Goal{}) })
+		check("pul", func() (ForkResult, bool, error) { return fp.Solve(ctx, pul) },
+			func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Solve(ctx, pul) })
+		check("period", func() (ForkResult, bool, error) { return fp.Solve(ctx, minPeriod) },
+			func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Solve(ctx, minPeriod) })
+		check("lup", func() (ForkResult, bool, error) { return fp.Solve(ctx, lup) },
+			func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Solve(ctx, lup) })
+		check("lup-repeat", func() (ForkResult, bool, error) { return fp.Solve(ctx, lup) },
+			func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Solve(ctx, lup) })
 	}
 }
 
@@ -112,6 +126,7 @@ func TestForkJoinPreparedMatchesFresh(t *testing.T) {
 		dp := trial%2 == 0
 		fp := NewForkJoinPrepared(fj, pl, dp)
 		b := float64(1+rng.Intn(8)) / 2
+		lup, pul := mapping.Goal{PeriodCap: b}, mapping.Goal{MinimizePeriod: true, LatencyCap: b}
 
 		check := func(name string, prep, oneshot func() (ForkJoinResult, bool, error)) {
 			t.Helper()
@@ -128,16 +143,18 @@ func TestForkJoinPreparedMatchesFresh(t *testing.T) {
 					trial, name, got, gotOK, want, wantOK, fj, pl, dp)
 			}
 		}
-		check("period", func() (ForkJoinResult, bool, error) { return fp.Period(ctx) },
-			func() (ForkJoinResult, bool, error) { return ForkJoinPeriodCtx(ctx, fj, pl, dp) })
-		check("lup", func() (ForkJoinResult, bool, error) { return fp.LatencyUnderPeriod(ctx, b) },
-			func() (ForkJoinResult, bool, error) { return ForkJoinLatencyUnderPeriodCtx(ctx, fj, pl, dp, b) })
-		check("latency", func() (ForkJoinResult, bool, error) { return fp.Latency(ctx) },
-			func() (ForkJoinResult, bool, error) { return ForkJoinLatencyCtx(ctx, fj, pl, dp) })
-		check("pul", func() (ForkJoinResult, bool, error) { return fp.PeriodUnderLatency(ctx, b) },
-			func() (ForkJoinResult, bool, error) { return ForkJoinPeriodUnderLatencyCtx(ctx, fj, pl, dp, b) })
-		check("pul-repeat", func() (ForkJoinResult, bool, error) { return fp.PeriodUnderLatency(ctx, b) },
-			func() (ForkJoinResult, bool, error) { return ForkJoinPeriodUnderLatencyCtx(ctx, fj, pl, dp, b) })
+		check("period", func() (ForkJoinResult, bool, error) { return fp.Solve(ctx, minPeriod) },
+			func() (ForkJoinResult, bool, error) { return NewForkJoinPrepared(fj, pl, dp).Solve(ctx, minPeriod) })
+		check("lup", func() (ForkJoinResult, bool, error) { return fp.Solve(ctx, lup) },
+			func() (ForkJoinResult, bool, error) { return NewForkJoinPrepared(fj, pl, dp).Solve(ctx, lup) })
+		check("latency", func() (ForkJoinResult, bool, error) { return fp.Solve(ctx, mapping.Goal{}) },
+			func() (ForkJoinResult, bool, error) {
+				return NewForkJoinPrepared(fj, pl, dp).Solve(ctx, mapping.Goal{})
+			})
+		check("pul", func() (ForkJoinResult, bool, error) { return fp.Solve(ctx, pul) },
+			func() (ForkJoinResult, bool, error) { return NewForkJoinPrepared(fj, pl, dp).Solve(ctx, pul) })
+		check("pul-repeat", func() (ForkJoinResult, bool, error) { return fp.Solve(ctx, pul) },
+			func() (ForkJoinResult, bool, error) { return NewForkJoinPrepared(fj, pl, dp).Solve(ctx, pul) })
 	}
 }
 
@@ -200,17 +217,87 @@ func TestPipelinePreparedReusesArrays(t *testing.T) {
 	pl := platform.New(2, 1, 1)
 	pp := NewPipelinePrepared(p, pl, true)
 	ctx := context.Background()
-	if _, _, err := pp.LatencyUnderPeriod(ctx, 4); err != nil {
+	if _, _, err := pp.Solve(ctx, mapping.Goal{PeriodCap: 4}); err != nil {
 		t.Fatal(err)
 	}
 	memo := &pp.s.memo[0]
-	if _, _, err := pp.LatencyUnderPeriod(ctx, 2); err != nil {
+	if _, _, err := pp.Solve(ctx, mapping.Goal{PeriodCap: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pp.Period(ctx); err != nil {
+	if _, _, err := pp.Solve(ctx, minPeriod); err != nil {
 		t.Fatal(err)
 	}
 	if memo != &pp.s.memo[0] {
 		t.Error("prepared solver reallocated its DP arrays on reset")
+	}
+}
+
+// TestPreparedSolveGoalCaps: every prepared solver answers any
+// mapping.Goal like brute-force enumeration does — a zero cap is no cap,
+// and a cap on the minimized metric itself is honoured too — while a
+// negative or NaN cap admits no mapping.
+func TestPreparedSolveGoalCaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	ctx := context.Background()
+	randCap := func() float64 {
+		if rng.Intn(3) == 0 {
+			return 0
+		}
+		return float64(1+rng.Intn(12)) / 2
+	}
+	best := func(goal mapping.Goal, enumerate func(visit func(mapping.Cost))) (float64, bool) {
+		val, found := 0.0, false
+		enumerate(func(c mapping.Cost) {
+			if goal.Feasible(c) && (!found || goal.Value(c) < val) {
+				val, found = goal.Value(c), true
+			}
+		})
+		return val, found
+	}
+	check := func(trial int, kind string, goal mapping.Goal, got mapping.Cost, gotOK bool, err error, want float64, wantOK bool) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotOK != wantOK || gotOK && !numeric.Eq(goal.Value(got), want) {
+			t.Fatalf("trial %d %s %+v: got (%v, %v), brute force (%g, %v)", trial, kind, goal, got, gotOK, want, wantOK)
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		p := workflow.RandomPipeline(rng, 1+rng.Intn(4), 9)
+		f := workflow.RandomFork(rng, 1+rng.Intn(3), 9)
+		pl := platform.Random(rng, 1+rng.Intn(3), 4)
+		dp := trial%2 == 0
+		goal := mapping.Goal{MinimizePeriod: rng.Intn(2) == 0, PeriodCap: randCap(), LatencyCap: randCap()}
+
+		want, wantOK := best(goal, func(visit func(mapping.Cost)) {
+			enumeratePipeline(p, pl, dp, func(_ mapping.PipelineMapping, c mapping.Cost) { visit(c) })
+		})
+		res, ok, err := NewPipelinePrepared(p, pl, dp).Solve(ctx, goal)
+		check(trial, "pipeline", goal, res.Cost, ok, err, want, wantOK)
+
+		want, wantOK = best(goal, func(visit func(mapping.Cost)) {
+			EnumerateFork(f, pl, dp, func(_ mapping.ForkMapping, c mapping.Cost) { visit(c) })
+		})
+		fres, ok, err := NewForkPrepared(f, pl, dp).Solve(ctx, goal)
+		check(trial, "fork", goal, fres.Cost, ok, err, want, wantOK)
+	}
+
+	p := workflow.NewPipeline(5, 3, 2)
+	f := workflow.NewFork(2, 4, 1)
+	fj := workflow.NewForkJoin(2, 1, 4, 1)
+	pl := platform.New(2, 1, 1)
+	for _, bad := range []float64{-1, math.NaN()} {
+		for _, goal := range []mapping.Goal{{PeriodCap: bad}, {MinimizePeriod: true, LatencyCap: bad}} {
+			if _, ok, err := NewPipelinePrepared(p, pl, true).Solve(ctx, goal); ok || err != nil {
+				t.Errorf("pipeline %+v: ok=%v err=%v, want infeasible", goal, ok, err)
+			}
+			if _, ok, err := NewForkPrepared(f, pl, true).Solve(ctx, goal); ok || err != nil {
+				t.Errorf("fork %+v: ok=%v err=%v, want infeasible", goal, ok, err)
+			}
+			if _, ok, err := NewForkJoinPrepared(fj, pl, true).Solve(ctx, goal); ok || err != nil {
+				t.Errorf("fork-join %+v: ok=%v err=%v, want infeasible", goal, ok, err)
+			}
+		}
 	}
 }

@@ -80,23 +80,29 @@ func TestForkPruningIsByteIdentical(t *testing.T) {
 		}
 		scans := map[string]scan{
 			"period": {
-				func() (ForkResult, bool, error) { return ForkPeriodCtx(ctx, f, pl, dp) },
+				func() (ForkResult, bool, error) {
+					return NewForkPrepared(f, pl, dp).Solve(ctx, mapping.Goal{MinimizePeriod: true})
+				},
 				func() (ForkResult, bool, error) {
 					return forkScan(ctx, f, pl, dp, mapping.Goal{MinimizePeriod: true}, 0)
 				},
 			},
 			"latency": {
-				func() (ForkResult, bool, error) { return ForkLatencyCtx(ctx, f, pl, dp) },
+				func() (ForkResult, bool, error) { return NewForkPrepared(f, pl, dp).Solve(ctx, mapping.Goal{}) },
 				func() (ForkResult, bool, error) { return forkScan(ctx, f, pl, dp, mapping.Goal{}, 0) },
 			},
 			"latency-under-period": {
-				func() (ForkResult, bool, error) { return ForkLatencyUnderPeriodCtx(ctx, f, pl, dp, bound) },
+				func() (ForkResult, bool, error) {
+					return NewForkPrepared(f, pl, dp).Solve(ctx, mapping.Goal{PeriodCap: bound})
+				},
 				func() (ForkResult, bool, error) {
 					return forkScan(ctx, f, pl, dp, mapping.Goal{PeriodCap: bound}, 0)
 				},
 			},
 			"period-under-latency": {
-				func() (ForkResult, bool, error) { return ForkPeriodUnderLatencyCtx(ctx, f, pl, dp, bound) },
+				func() (ForkResult, bool, error) {
+					return NewForkPrepared(f, pl, dp).Solve(ctx, mapping.Goal{MinimizePeriod: true, LatencyCap: bound})
+				},
 				func() (ForkResult, bool, error) {
 					return forkScan(ctx, f, pl, dp, mapping.Goal{MinimizePeriod: true, LatencyCap: bound}, 0)
 				},
@@ -127,7 +133,7 @@ func TestForkJoinPruningIsByteIdentical(t *testing.T) {
 		pl := platform.Random(rng, 1+rng.Intn(3), 4)
 		dp := trial%2 == 0
 
-		res, ok, err := ForkJoinPeriodCtx(ctx, fj, pl, dp)
+		res, ok, err := NewForkJoinPrepared(fj, pl, dp).Solve(ctx, mapping.Goal{MinimizePeriod: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +145,7 @@ func TestForkJoinPruningIsByteIdentical(t *testing.T) {
 			t.Fatalf("trial %d period: pruned != unpruned for %v on %v dp=%v", trial, fj, pl, dp)
 		}
 
-		res, ok, err = ForkJoinLatencyCtx(ctx, fj, pl, dp)
+		res, ok, err = NewForkJoinPrepared(fj, pl, dp).Solve(ctx, mapping.Goal{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +166,7 @@ func TestForkJoinPruningIsByteIdentical(t *testing.T) {
 func TestPruningFiresOnTightInstances(t *testing.T) {
 	f := workflow.HomogeneousFork(2, 4, 3)
 	pl := platform.Homogeneous(4, 2)
-	res, ok, err := ForkPeriodCtx(context.Background(), f, pl, false)
+	res, ok, err := NewForkPrepared(f, pl, false).Solve(context.Background(), mapping.Goal{MinimizePeriod: true})
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}

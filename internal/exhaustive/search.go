@@ -5,7 +5,6 @@ import (
 
 	"repliflow/internal/incumbent"
 	"repliflow/internal/mapping"
-	"repliflow/internal/numeric"
 	"repliflow/internal/partition"
 )
 
@@ -132,11 +131,11 @@ func (bp *blockPrepared[M]) SetParallelism(workers int) {
 	bp.par = workers
 }
 
-// solve answers one goal, from the memo when it was solved before.
-// Bounded goals take positive caps: a non-positive or NaN cap admits no
-// mapping.
-func (bp *blockPrepared[M]) solve(ctx context.Context, goal mapping.Goal, bound float64) (Result[M], bool, error) {
-	if !(bound > 0) {
+// Solve answers one goal, from the memo when it was solved before. A
+// zero cap leaves its metric unbounded, as in mapping.Goal; a negative
+// or NaN cap admits no mapping.
+func (bp *blockPrepared[M]) Solve(ctx context.Context, goal mapping.Goal) (Result[M], bool, error) {
+	if !capsAdmit(goal) {
 		return Result[M]{}, false, nil
 	}
 	m, hit := bp.memo[goal]
@@ -160,24 +159,14 @@ func (bp *blockPrepared[M]) solve(ctx context.Context, goal mapping.Goal, bound 
 	return res, m.ok, nil
 }
 
-// Period solves MinPeriod.
-func (bp *blockPrepared[M]) Period(ctx context.Context) (Result[M], bool, error) {
-	return bp.solve(ctx, mapping.Goal{MinimizePeriod: true}, numeric.Inf)
+// capsAdmit reports whether a goal's caps can admit any mapping: a zero
+// cap is no cap, a negative or NaN one admits nothing.
+func capsAdmit(goal mapping.Goal) bool {
+	return goal.PeriodCap >= 0 && goal.LatencyCap >= 0
 }
 
-// Latency solves MinLatency.
-func (bp *blockPrepared[M]) Latency(ctx context.Context) (Result[M], bool, error) {
-	return bp.solve(ctx, mapping.Goal{}, numeric.Inf)
-}
-
-// LatencyUnderPeriod solves min-latency under the period bound;
-// repeated bounds are answered from the memo.
-func (bp *blockPrepared[M]) LatencyUnderPeriod(ctx context.Context, maxPeriod float64) (Result[M], bool, error) {
-	return bp.solve(ctx, mapping.Goal{PeriodCap: maxPeriod}, maxPeriod)
-}
-
-// PeriodUnderLatency solves min-period under the latency bound;
-// repeated bounds are answered from the memo.
-func (bp *blockPrepared[M]) PeriodUnderLatency(ctx context.Context, maxLatency float64) (Result[M], bool, error) {
-	return bp.solve(ctx, mapping.Goal{MinimizePeriod: true, LatencyCap: maxLatency}, maxLatency)
+// once drops the error of a background-context solve, which can never
+// be cancelled: the shape of the package's one-shot entry points.
+func once[R any](res R, ok bool, _ error) (R, bool) {
+	return res, ok
 }
