@@ -60,10 +60,16 @@ type KindSpec struct {
 	// exhaustive search. Nil means the kind has no parallel search path,
 	// so auto mode always stays serial.
 	ParallelWorthwhile func(pr Problem) bool
-	// CandidatePeriods enumerates a superset of the achievable period
-	// values for the Pareto sweep (ascending, deduplicated). Nil means
-	// the kind does not support Pareto sweeps.
-	CandidatePeriods func(pr Problem) []float64
+	// CandidatePeriods enumerates the candidate periods of the Pareto
+	// sweep (ascending, deduplicated) and reports whether the set is
+	// complete: whether it holds every period a mapping of this instance
+	// can achieve. A complete set makes every point of an exact sweep
+	// final, so PlanSweep may drop the period-tightening probe. An
+	// incomplete set may miss achievable periods (oversized platforms,
+	// the one-port fork's communication-free approximation); missing
+	// candidates only coarsen the front between points, and the sweep
+	// keeps its probe. Nil means the kind does not support Pareto sweeps.
+	CandidatePeriods func(pr Problem) (periods []float64, complete bool)
 	// Anytime is the budget-bounded portfolio solver of the kind's
 	// NP-hard cells. Nil means a positive AnytimeBudget falls through to
 	// the registered cell solver.

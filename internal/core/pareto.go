@@ -49,7 +49,7 @@ func ParetoFrontWith(ctx context.Context, pr Problem, opts Options, batch BatchS
 	if batch == nil {
 		batch = serialBatch
 	}
-	pr, err := NormalizeSweep(pr)
+	plan, err := PlanSweep(pr, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -57,13 +57,9 @@ func ParetoFrontWith(ctx context.Context, pr Problem, opts Options, batch BatchS
 
 	// Solve every candidate-period subproblem up front: they are mutually
 	// independent, so a concurrent batch solver can fan them out.
-	cands := CandidatePeriods(pr)
-	subs := make([]Problem, len(cands))
-	for i, k := range cands {
-		sub := pr
-		sub.Objective = LatencyUnderPeriod
-		sub.Bound = k
-		subs[i] = sub
+	subs := make([]Problem, len(plan.Candidates))
+	for i, k := range plan.Candidates {
+		subs[i] = plan.Problem.withGoal(LatencyUnderPeriod, k)
 	}
 	sols, err := batch(ctx, subs, opts)
 	if err != nil {
@@ -71,17 +67,18 @@ func ParetoFrontWith(ctx context.Context, pr Problem, opts Options, batch BatchS
 	}
 
 	// Dominance filtering is a serial walk over the ascending candidates;
-	// only the few accepted points pay a tightening solve.
+	// only the few accepted points pay a tightening solve, and only when
+	// the plan says the probe can move them.
 	acc := NewFrontAccumulator()
-	tighten := func(latency float64) (Solution, bool) {
-		tight := pr
-		tight.Objective = PeriodUnderLatency
-		tight.Bound = latency
-		tsols, err := batch(ctx, []Problem{tight}, opts)
-		if err != nil {
-			return Solution{}, false
+	var tighten func(latency float64) (Solution, bool)
+	if plan.Tighten {
+		tighten = func(latency float64) (Solution, bool) {
+			tsols, err := batch(ctx, []Problem{plan.Problem.withGoal(PeriodUnderLatency, latency)}, opts)
+			if err != nil {
+				return Solution{}, false
+			}
+			return tsols[0], true
 		}
-		return tsols[0], true
 	}
 	var front []Solution
 	for _, sol := range sols {
@@ -90,6 +87,80 @@ func ParetoFrontWith(ctx context.Context, pr Problem, opts Options, batch BatchS
 		}
 	}
 	return front, nil
+}
+
+// SweepPlan is how a Pareto sweep runs on one instance. PlanSweep is the
+// one place that decides it, so the serial ParetoFrontWith and the
+// engine's incremental sweep cannot disagree.
+type SweepPlan struct {
+	// Problem is the normalized instance (see NormalizeSweep).
+	Problem Problem
+	// Candidates are the candidate periods of the sweep, ascending and
+	// deduplicated.
+	Candidates []float64
+	// Exact reports that both bi-criteria cells solve the instance
+	// exactly, so feasibility and optimal latency are monotone in the
+	// period bound and a sweep may prune candidates by monotonicity.
+	Exact bool
+	// Tighten reports that each accepted point needs a
+	// PeriodUnderLatency probe at its latency.
+	Tighten bool
+}
+
+// PlanSweep normalizes the instance for a sweep and plans it. An
+// accepted point skips the PeriodUnderLatency probe only when the probe
+// provably returns the accepted solution itself, which takes three
+// conditions:
+//
+//   - The sweep is exact: both the LatencyUnderPeriod and the
+//     PeriodUnderLatency cell solve the instance exactly.
+//   - The candidate set is complete for this instance: it holds every
+//     achievable period (KindSpec.CandidatePeriods).
+//   - Both cells are served alike: the same solver method and the same
+//     Table 1 classification, so the two solves report the same fields.
+//
+// Then an accepted point has the least latency L under its candidate
+// period. A mapping of latency <= L and a smaller period would make that
+// period a smaller candidate (the set is complete), whose solve would
+// have filtered this point out as dominated. So the probe at L can only
+// return the point's own cost, and the engine's randomized identity
+// corpus pins that it returns the same solution byte for byte. Every
+// other sweep — heuristic, budgeted on an NP-hard cell, or over a coarse
+// candidate set — keeps the probe.
+func PlanSweep(pr Problem, opts Options) (SweepPlan, error) {
+	pr, err := NormalizeSweep(pr)
+	if err != nil {
+		return SweepPlan{}, err
+	}
+	spec := specOf(pr)
+	if spec == nil || spec.CandidatePeriods == nil {
+		// Kinds without the capability sweep the empty candidate set.
+		return SweepPlan{Problem: pr, Tighten: true}, nil
+	}
+	cands, complete := spec.CandidatePeriods(pr)
+	lup, pul := pr.withGoal(LatencyUnderPeriod, 1), pr.withGoal(PeriodUnderLatency, 1)
+	exact := ExactlySolvable(lup, opts) && ExactlySolvable(pul, opts)
+	return SweepPlan{
+		Problem:    pr,
+		Candidates: cands,
+		Exact:      exact,
+		Tighten:    !exact || !complete || !servedAlike(CellKeyOf(lup), CellKeyOf(pul)),
+	}, nil
+}
+
+// servedAlike reports whether two dispatch cells register the same
+// solver method and classify alike, so their solutions carry the same
+// Method and Classification.
+func servedAlike(a, b CellKey) bool {
+	ea, okA := registry[a]
+	eb, okB := registry[b]
+	return okA && okB && ea.Method == eb.Method && ClassifyCell(a) == ClassifyCell(b)
+}
+
+// withGoal returns the instance with its objective and bound replaced.
+func (pr Problem) withGoal(obj Objective, bound float64) Problem {
+	pr.Objective, pr.Bound = obj, bound
+	return pr
 }
 
 // NormalizeSweep canonicalizes an instance for a Pareto sweep: the
@@ -152,25 +223,9 @@ func (a *FrontAccumulator) Offer(sol Solution, tighten func(latency float64) (So
 	return sol, true
 }
 
-// CandidatePeriods returns a superset of the achievable block-period
-// values of the instance, ascending and deduplicated, delegated to the
-// kind's capability. For homogeneous graphs a closed form keeps the set
-// polynomial; otherwise block weights are enumerated over stage subsets
-// (fine at exhaustive-search sizes). The optimal period of any mapping is
-// one of these values, which is what makes the ParetoFront sweep exact on
-// exactly-solved cells. Kinds without the capability return nil (their
-// sweep degenerates to the empty front).
-func CandidatePeriods(pr Problem) []float64 {
-	spec := specOf(pr)
-	if spec == nil || spec.CandidatePeriods == nil {
-		return nil
-	}
-	return spec.CandidatePeriods(pr)
-}
-
 // pipelineCandidatePeriods is the CandidatePeriods capability of the
 // legacy pipeline kind: every contiguous interval weight.
-func pipelineCandidatePeriods(pr Problem) []float64 {
+func pipelineCandidatePeriods(pr Problem) ([]float64, bool) {
 	p := *pr.Pipeline
 	var weights []float64
 	for i := 0; i < p.Stages(); i++ {
@@ -185,13 +240,13 @@ func pipelineCandidatePeriods(pr Problem) []float64 {
 
 // forkCandidatePeriods is the CandidatePeriods capability of the legacy
 // fork kind.
-func forkCandidatePeriods(pr Problem) []float64 {
+func forkCandidatePeriods(pr Problem) ([]float64, bool) {
 	return periodsFromWeights(forkBlockWeights(pr.Fork.Root, 0, false, pr.Fork.Weights), pr.Platform)
 }
 
 // forkJoinCandidatePeriods is the CandidatePeriods capability of the
 // legacy fork-join kind.
-func forkJoinCandidatePeriods(pr Problem) []float64 {
+func forkJoinCandidatePeriods(pr Problem) ([]float64, bool) {
 	return periodsFromWeights(forkBlockWeights(pr.ForkJoin.Root, pr.ForkJoin.Join, true, pr.ForkJoin.Weights), pr.Platform)
 }
 
@@ -244,8 +299,10 @@ func forkBlockWeights(root, join float64, hasJoin bool, leaves []float64) []floa
 
 // periodsFromWeights expands block weights into period values over every
 // replication count and minimum speed (and speed sums for data-parallel
-// groups), deduplicated and ascending.
-func periodsFromWeights(weights []float64, pl platform.Platform) []float64 {
+// groups), deduplicated and ascending. The set is complete — every period
+// a block of one of these weights can have — when the platform is small
+// enough for subsetSpeedSums to enumerate every speed sum.
+func periodsFromWeights(weights []float64, pl platform.Platform) ([]float64, bool) {
 	speeds := numeric.DedupSorted(append([]float64(nil), pl.Speeds...))
 	p := pl.Processors()
 	var cands []float64
@@ -264,8 +321,12 @@ func periodsFromWeights(weights []float64, pl platform.Platform) []float64 {
 			cands = append(cands, w/s)
 		}
 	}
-	return numeric.DedupSorted(cands)
+	return numeric.DedupSorted(cands), pl.Processors() <= subsetSumLimit
 }
+
+// subsetSumLimit is the largest set whose subset sums the candidate
+// enumerations list in full; larger sets fall back to prefix sums.
+const subsetSumLimit = 12
 
 // subsetSpeedSums returns the distinct subset speed sums when 2^p is small
 // and the prefix sums of the speed-sorted processors otherwise (a superset
@@ -273,7 +334,7 @@ func periodsFromWeights(weights []float64, pl platform.Platform) []float64 {
 // work, missing ones only coarsen the front between exact points).
 func subsetSpeedSums(pl platform.Platform) []float64 {
 	p := pl.Processors()
-	if p <= 12 {
+	if p <= subsetSumLimit {
 		sums := []float64{}
 		acc := []float64{0}
 		for _, s := range pl.Speeds {

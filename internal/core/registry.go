@@ -20,8 +20,18 @@ type CellKey struct {
 	Objective           Objective
 }
 
-// String implements fmt.Stringer with a compact cell label.
+// String implements fmt.Stringer with a compact cell label. Registered
+// cells answer from a table built at registration, so labelling a solve
+// (metrics, responses) formats nothing.
 func (k CellKey) String() string {
+	if name, ok := cellNames[k]; ok {
+		return name
+	}
+	return k.format()
+}
+
+// format builds the label of String.
+func (k CellKey) format() string {
 	plat, graph, model := "het-platform", "het-graph", "no-dp"
 	if k.PlatformHomogeneous {
 		plat = "hom-platform"
@@ -103,9 +113,13 @@ func preparedOnce(prepare func(Problem, Options) *PreparedCell, beyond SolverFun
 	}
 }
 
-// registry maps every Table 1 dispatch cell to its solver. It is populated
-// at init time by the per-kind solver files and immutable after.
-var registry = map[CellKey]SolverEntry{}
+// registry maps every Table 1 dispatch cell to its solver, and cellNames
+// every registered cell to its label. Both are populated at init time by
+// the per-kind solver files and immutable after.
+var (
+	registry  = map[CellKey]SolverEntry{}
+	cellNames = map[CellKey]string{}
+)
 
 // register installs a solver entry, panicking on duplicates or nil solvers:
 // both are programming errors caught by any test run.
@@ -117,6 +131,7 @@ func register(key CellKey, e SolverEntry) {
 		panic(fmt.Sprintf("core: duplicate solver registration for cell %v", key))
 	}
 	registry[key] = e
+	cellNames[key] = key.format()
 }
 
 // CellKeyOf returns the dispatch key of a problem. The problem should be

@@ -303,3 +303,21 @@ func TestExactlySolvableMatchesSolutionExact(t *testing.T) {
 		t.Fatalf("corpus hit only one side of the limits: %v", seen)
 	}
 }
+
+// TestCellKeyStringTable: every cell the registry serves labels itself
+// from the registration table — the same label the formatter builds,
+// with no allocation — and keys outside the registry still format.
+func TestCellKeyStringTable(t *testing.T) {
+	for _, key := range AllCellKeys() {
+		if name, ok := cellNames[key]; !ok || name != key.format() {
+			t.Errorf("cell %v has table label %q (present %v)", key, name, ok)
+		}
+	}
+	key := CellKey{Kind: workflow.KindPipeline, DataParallel: true, Objective: LatencyUnderPeriod}
+	if allocs := testing.AllocsPerRun(100, func() { _ = key.String() }); allocs != 0 {
+		t.Errorf("CellKey.String allocates %v times per call, want 0", allocs)
+	}
+	if got := (CellKey{Kind: workflow.Kind(99)}).String(); got == "" {
+		t.Error("unregistered key has an empty label")
+	}
+}

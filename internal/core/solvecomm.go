@@ -67,8 +67,10 @@ func init() {
 			return !commPlatform(pr).IsFullyHomogeneous() &&
 				commPipeLeaves(pr.CommPipeline.Stages(), pr.Platform.Processors()) >= parMinCommPipeLeaves
 		},
-		CandidatePeriods: func(pr Problem) []float64 {
-			return fullmodel.PeriodCandidates(*pr.CommPipeline, commPlatform(pr))
+		// The candidates are every interval cost, so the set is always
+		// complete.
+		CandidatePeriods: func(pr Problem) ([]float64, bool) {
+			return fullmodel.PeriodCandidates(*pr.CommPipeline, commPlatform(pr)), true
 		},
 		SeedMix: func(pr Problem, mix func(float64)) {
 			for _, w := range pr.CommPipeline.Weights {
@@ -200,10 +202,11 @@ func commForkInLimits(pr Problem, opts Options) bool {
 // the raw speeds. The true period adds transfer terms, so this set is
 // deliberately coarse — missing candidates only coarsen the Pareto front
 // between points, exactly like the oversized-platform speed-sum
-// approximation of subsetSpeedSums.
-func commForkCandidatePeriods(pr Problem) []float64 {
+// approximation of subsetSpeedSums. It is never complete.
+func commForkCandidatePeriods(pr Problem) ([]float64, bool) {
 	f := pr.CommFork
-	return periodsFromWeights(forkBlockWeights(f.Root, 0, false, f.Weights), pr.Platform)
+	periods, _ := periodsFromWeights(forkBlockWeights(f.Root, 0, false, f.Weights), pr.Platform)
+	return periods, false
 }
 
 // commPipeSolution wraps a comm-pipeline mapping into a Solution.

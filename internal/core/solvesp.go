@@ -135,11 +135,14 @@ func spParallelWorthwhile(pr Problem) bool {
 // single steps beyond that) expanded over the platform speeds. For
 // reduced instances this is a superset of the legacy candidate sets, so
 // the Pareto sweep stays exact on them; for large irreducible DAGs the
-// coarser set only coarsens the front between points.
-func spCandidatePeriods(pr Problem) []float64 {
+// coarser set only coarsens the front between points. The set is
+// complete only when both the steps and the speeds are enumerated in
+// full.
+func spCandidatePeriods(pr Problem) ([]float64, bool) {
 	g := *pr.SP
 	var sums []float64
-	if n := len(g.Steps); n <= 12 {
+	small := len(g.Steps) <= subsetSumLimit
+	if small {
 		sums = append(sums, 0)
 		for _, s := range g.Steps {
 			for _, acc := range append([]float64(nil), sums...) {
@@ -162,7 +165,8 @@ func spCandidatePeriods(pr Problem) []float64 {
 			weights = append(weights, s)
 		}
 	}
-	return periodsFromWeights(weights, pr.Platform)
+	periods, complete := periodsFromWeights(weights, pr.Platform)
+	return periods, complete && small
 }
 
 // spSolution wraps an irreducible block mapping into a Solution.

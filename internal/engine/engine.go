@@ -2,14 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repliflow/internal/core"
-	"repliflow/internal/fullmodel"
-	"repliflow/internal/mapping"
 )
 
 // Engine is a concurrent, caching batch solver. The zero value is not
@@ -177,6 +177,11 @@ func (e *Engine) solveVia(ctx context.Context, pr core.Problem, opts core.Option
 				if err := ctx.Err(); err != nil {
 					return core.Solution{}, err
 				}
+				if errors.Is(en.err, errSolverPanicked) {
+					// Retrying would run the panicking solve again on
+					// this goroutine; hand back the failure instead.
+					return core.Solution{}, en.err
+				}
 				// The flight failed (typically another caller's
 				// cancellation) or was deadline-truncated, but our
 				// context is live: drop the dead entry if the computing
@@ -219,19 +224,30 @@ func (e *Engine) solveVia(ctx context.Context, pr core.Problem, opts core.Option
 			return core.Solution{}, en.err
 		}
 		e.misses.Add(1)
-		solveOpts, extra := e.donate(opts)
-		if via != nil {
-			en.sol, en.err = via(ctx, pr, solveOpts)
-		} else {
-			en.sol, en.err = core.SolveContext(ctx, pr, solveOpts)
-		}
+		e.fly(ctx, key, en, pr, opts, via, rs)
+		return cloneSolution(en.sol), en.err
+	}
+}
+
+// errSolverPanicked fails the flight of a solve that panicked. Its
+// waiters return it rather than retrying the solve themselves.
+var errSolverPanicked = errors.New("engine: solver panicked")
+
+// fly runs the solve of a claimed flight on the engine slot the caller
+// holds and completes the flight. The completion is deferred, so a
+// panicking solver still returns its slots, fails the flight and drops
+// the entry before the panic goes on up the caller's stack: the engine
+// keeps its slot count and cache, and coalesced waiters return at once
+// instead of blocking until their own deadlines.
+func (e *Engine) fly(ctx context.Context, key string, en *cacheEntry, pr core.Problem, opts core.Options, via coreSolveFunc, rs ResultStore) {
+	solveOpts, extra := e.donate(opts)
+	solved := false
+	defer func() {
 		e.releaseExtra(extra)
-		// An anytime incumbent returned while this caller's context is
-		// dead was truncated by the deadline, not by its budget (a
-		// budget expiry never cancels ctx): flag it before releasing
-		// waiters so they re-solve instead of adopting it.
-		en.truncated = en.err == nil && en.sol.Anytime && !en.sol.Exact && ctx.Err() != nil
 		<-e.sem
+		if !solved {
+			en.sol, en.err = core.Solution{}, errSolverPanicked
+		}
 		close(en.done)
 		if en.err != nil || en.truncated {
 			// Never cache failures or truncated incumbents: neither may
@@ -240,8 +256,18 @@ func (e *Engine) solveVia(ctx context.Context, pr core.Problem, opts core.Option
 		} else if rs != nil && storeEligible(pr) {
 			rs.Store(key, en.sol)
 		}
-		return cloneSolution(en.sol), en.err
+	}()
+	if via != nil {
+		en.sol, en.err = via(ctx, pr, solveOpts)
+	} else {
+		en.sol, en.err = core.SolveContext(ctx, pr, solveOpts)
 	}
+	// An anytime incumbent returned while this caller's context is
+	// dead was truncated by the deadline, not by its budget (a budget
+	// expiry never cancels ctx): flag it before releasing waiters so
+	// they re-solve instead of adopting it.
+	en.truncated = en.err == nil && en.sol.Anytime && !en.sol.Exact && ctx.Err() != nil
+	solved = true
 }
 
 // donate resolves Options.Parallelism against the engine's solve-slot
@@ -480,12 +506,15 @@ func (p *preparedPool) solve(ctx context.Context, pr core.Problem, opts core.Opt
 	if ps == nil {
 		return core.SolveContext(ctx, pr, opts)
 	}
-	defer p.pool.Put(ps)
 	// The engine's slot donation rewrites Parallelism per solve; retune
 	// the pooled solver to this solve's grant (byte-identical results at
 	// every setting, so the pooled memos stay valid).
 	ps.SetParallelism(opts.Parallelism)
-	return ps.SolveProblem(ctx, pr)
+	sol, err := ps.SolveProblem(ctx, pr)
+	// Only a solver that returned goes back: one that panicked may have
+	// left its scratch half-written.
+	p.pool.Put(ps)
+	return sol, err
 }
 
 // sameSweepBase reports whether two problems differ at most in Objective
@@ -650,54 +679,55 @@ func ParetoFront(ctx context.Context, pr core.Problem, opts core.Options) ([]cor
 // cloneSolution returns a solution whose mapping is independent of the
 // cached one, so callers mutating a returned mapping cannot corrupt the
 // cache. Interval/block slices are copied; the read-only Procs slices are
-// shared.
+// shared. slices.Clone keeps a nil slice nil and an empty one empty, so a
+// clone is reflect.DeepEqual to the solution it copies.
 func cloneSolution(s core.Solution) core.Solution {
 	if s.PipelineMapping != nil {
 		m := *s.PipelineMapping
-		m.Intervals = append([]mapping.PipelineInterval(nil), m.Intervals...)
+		m.Intervals = slices.Clone(m.Intervals)
 		s.PipelineMapping = &m
 	}
 	if s.ForkMapping != nil {
 		m := *s.ForkMapping
-		m.Blocks = append([]mapping.ForkBlock(nil), m.Blocks...)
+		m.Blocks = slices.Clone(m.Blocks)
 		s.ForkMapping = &m
 	}
 	if s.ForkJoinMapping != nil {
 		m := *s.ForkJoinMapping
-		m.Blocks = append([]mapping.ForkJoinBlock(nil), m.Blocks...)
+		m.Blocks = slices.Clone(m.Blocks)
 		s.ForkJoinMapping = &m
 	}
 	if s.SPMapping != nil {
 		m := *s.SPMapping
-		m.Order = append([]int(nil), m.Order...)
-		m.Blocks = append([]mapping.SPBlock(nil), m.Blocks...)
+		m.Order = slices.Clone(m.Order)
+		m.Blocks = slices.Clone(m.Blocks)
 		if m.Pipeline != nil {
 			p := *m.Pipeline
-			p.Intervals = append([]mapping.PipelineInterval(nil), p.Intervals...)
+			p.Intervals = slices.Clone(p.Intervals)
 			m.Pipeline = &p
 		}
 		if m.Fork != nil {
 			f := *m.Fork
-			f.Blocks = append([]mapping.ForkBlock(nil), f.Blocks...)
+			f.Blocks = slices.Clone(f.Blocks)
 			m.Fork = &f
 		}
 		if m.ForkJoin != nil {
 			fj := *m.ForkJoin
-			fj.Blocks = append([]mapping.ForkJoinBlock(nil), fj.Blocks...)
+			fj.Blocks = slices.Clone(fj.Blocks)
 			m.ForkJoin = &fj
 		}
 		s.SPMapping = &m
 	}
 	if s.CommPipelineMapping != nil {
 		m := *s.CommPipelineMapping
-		m.Bounds = append([]int(nil), m.Bounds...)
-		m.Alloc = append([]int(nil), m.Alloc...)
+		m.Bounds = slices.Clone(m.Bounds)
+		m.Alloc = slices.Clone(m.Alloc)
 		s.CommPipelineMapping = &m
 	}
 	if s.CommForkMapping != nil {
 		m := *s.CommForkMapping
-		m.Blocks = append([]fullmodel.ForkBlock(nil), m.Blocks...)
-		m.SendOrder = append([]int(nil), m.SendOrder...)
+		m.Blocks = slices.Clone(m.Blocks)
+		m.SendOrder = slices.Clone(m.SendOrder)
 		s.CommForkMapping = &m
 	}
 	return s

@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repliflow/internal/core"
 	"repliflow/internal/platform"
@@ -403,4 +406,90 @@ func TestCacheLimitEpochEviction(t *testing.T) {
 	if hitsAfter, _ := e.CacheStats(); hitsAfter != hitsBefore+1 {
 		t.Fatalf("repeat of cached instance missed (hits %d -> %d)", hitsBefore, hitsAfter)
 	}
+}
+
+// TestSolvePanicReleasesFlight: a solver that panics mid-flight must not
+// wedge the engine. The panic still reaches its caller, but the main and
+// the donated solve slots come back, the cache keeps no entry for the
+// fingerprint, a waiter coalesced onto the flight gets an error at once
+// instead of blocking until its own deadline, and a retry solves.
+func TestSolvePanicReleasesFlight(t *testing.T) {
+	pipe := workflow.NewPipeline(14, 4, 2, 4)
+	pr := core.Problem{Pipeline: &pipe, Platform: platform.New(3, 2, 1), AllowDataParallel: true}
+	opts := core.Options{Parallelism: 2}
+	e := New(2)
+	started, release := make(chan struct{}), make(chan struct{})
+	granted := make(chan int, 1)
+	boom := func(ctx context.Context, pr core.Problem, opts core.Options) (core.Solution, error) {
+		granted <- opts.Parallelism
+		close(started)
+		<-release
+		panic("solver bug")
+	}
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		e.solveVia(context.Background(), pr, opts, boom)
+	}()
+	<-started
+	if got := <-granted; got != 2 {
+		t.Fatalf("panicking solve ran on %d workers, want a donated slot", got)
+	}
+
+	waiterCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	waited := make(chan error, 1)
+	go func() {
+		_, err := e.Solve(waiterCtx, pr, opts)
+		waited <- err
+	}()
+	waitCoalesced(t)
+	close(release)
+
+	if r := <-recovered; r == nil {
+		t.Fatal("the solver's panic did not reach its caller")
+	}
+	select {
+	case err := <-waited:
+		if !errors.Is(err, errSolverPanicked) {
+			t.Fatalf("coalesced waiter returned %v, want the panicked flight's error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("coalesced waiter still blocked after the flight panicked")
+	}
+	if n := len(e.sem); n != 0 {
+		t.Errorf("%d solve slots still held after the panic", n)
+	}
+	if n := e.CacheSize(); n != 0 {
+		t.Errorf("cache holds %d entries after the panic, want none", n)
+	}
+
+	got, err := e.Solve(context.Background(), pr, opts)
+	if err != nil {
+		t.Fatalf("retry after the panic: %v", err)
+	}
+	want, err := core.Solve(pr, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("retry solved %v, want %v", got, want)
+	}
+	if n := len(e.sem); n != 0 {
+		t.Errorf("%d solve slots held after the retry", n)
+	}
+}
+
+// waitCoalesced returns once a goroutine is parked in solveVia's select,
+// which before the flight completes only a waiter coalesced onto it can
+// be.
+func waitCoalesced(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("[select]:\nrepliflow/internal/engine.(*Engine).solveVia(")) {
+			return
+		}
+	}
+	t.Fatal("no waiter coalesced onto the flight")
 }

@@ -69,25 +69,25 @@ func (e *Engine) SweepFront(ctx context.Context, pr core.Problem, opts core.Opti
 	if obs.Point == nil {
 		return SweepStats{}, errors.New("engine: SweepFront requires an observer with a Point callback")
 	}
-	pr, err := core.NormalizeSweep(pr)
+	plan, err := core.PlanSweep(pr, opts)
 	if err != nil {
 		return SweepStats{}, err
 	}
+	pr, cands := plan.Problem, plan.Candidates
 	opts = opts.Normalized()
-
-	cands := core.CandidatePeriods(pr)
 	if len(cands) == 0 {
 		return SweepStats{}, nil
 	}
 	s := &sweeper{
-		e:     e,
-		pr:    pr,
-		opts:  opts,
-		obs:   obs,
-		cands: cands,
-		sols:  make([]core.Solution, len(cands)),
-		state: make([]uint8, len(cands)),
-		acc:   core.NewFrontAccumulator(),
+		e:       e,
+		pr:      pr,
+		opts:    opts,
+		obs:     obs,
+		cands:   cands,
+		sols:    make([]core.Solution, len(cands)),
+		state:   make([]uint8, len(cands)),
+		acc:     core.NewFrontAccumulator(),
+		tighten: plan.Tighten,
 	}
 	// One prepared pool for the whole sweep (nil when the instance has no
 	// prepared capability): every candidate solve and tightening probe of
@@ -98,17 +98,13 @@ func (e *Engine) SweepFront(ctx context.Context, pr core.Problem, opts core.Opti
 		s.via = pool.solve
 	}
 
-	lup := pr
-	lup.Objective = core.LatencyUnderPeriod
-	lup.Bound = 1
-	pul := pr
-	pul.Objective = core.PeriodUnderLatency
-	pul.Bound = 1
 	var runErr error
-	if core.ExactlySolvable(lup, opts) && core.ExactlySolvable(pul, opts) {
+	if plan.Exact {
 		runErr = s.runPruned(ctx)
 	} else {
-		if opts.AnytimeBudget > 0 && !core.ClassifyCell(core.CellKeyOf(lup)).Complexity.Polynomial() {
+		lup := core.CellKeyOf(pr)
+		lup.Objective = core.LatencyUnderPeriod
+		if opts.AnytimeBudget > 0 && !core.ClassifyCell(lup).Complexity.Polynomial() {
 			// The budget is a whole-sweep target: split it across the
 			// worker rounds the candidate scan occupies, exactly as
 			// SolveBatch splits a batch budget.
@@ -142,6 +138,7 @@ type sweeper struct {
 	next     int           // first candidate not yet consumed by the emission walk
 	via      coreSolveFunc // prepared-pool solve override (nil = SolveContext)
 	acc      *core.FrontAccumulator
+	tighten  bool // accepted points take the PeriodUnderLatency probe (core.SweepPlan)
 	explored int
 	emitted  int // points actually delivered to the observer
 }
@@ -188,20 +185,25 @@ func (s *sweeper) skipInterior(lo, hi int) {
 // point is delivered immediately. Confirmation is final because every
 // smaller candidate is already resolved.
 func (s *sweeper) drain(ctx context.Context) error {
+	var tightenErr error
+	var probe func(latency float64) (core.Solution, bool)
+	if s.tighten {
+		probe = func(latency float64) (core.Solution, bool) {
+			tight := s.pr
+			tight.Objective = core.PeriodUnderLatency
+			tight.Bound = latency
+			ts, err := s.e.solveVia(ctx, tight, s.opts, s.via)
+			if err != nil {
+				tightenErr = err
+				return core.Solution{}, false
+			}
+			return ts, true
+		}
+	}
 	for s.next < len(s.cands) && s.state[s.next] != candUnsolved {
 		if s.state[s.next] == candSolved {
-			var tightenErr error
-			point, ok := s.acc.Offer(s.sols[s.next], func(latency float64) (core.Solution, bool) {
-				tight := s.pr
-				tight.Objective = core.PeriodUnderLatency
-				tight.Bound = latency
-				ts, err := s.e.solveVia(ctx, tight, s.opts, s.via)
-				if err != nil {
-					tightenErr = err
-					return core.Solution{}, false
-				}
-				return ts, true
-			})
+			tightenErr = nil
+			point, ok := s.acc.Offer(s.sols[s.next], probe)
 			// A tightening probe killed by the sweep's own context must
 			// abort before emitting: falling back to the untightened
 			// candidate would stream a point the uninterrupted sweep

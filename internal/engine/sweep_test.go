@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repliflow/internal/core"
+	"repliflow/internal/fullmodel"
 	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
@@ -205,5 +206,69 @@ func TestSweepFrontRequiresObserver(t *testing.T) {
 	pr := core.Problem{Pipeline: &pipe, Platform: platform.Homogeneous(1, 1)}
 	if _, err := New(1).SweepFront(context.Background(), pr, core.Options{}, SweepObserver{}); err == nil {
 		t.Fatal("nil Point observer accepted")
+	}
+}
+
+// candidateSolves counts the candidate periods of a sweep whose
+// LatencyUnderPeriod subproblem sits in the engine cache.
+func candidateSolves(e *Engine, plan core.SweepPlan, opts core.Options) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := 0
+	for _, k := range plan.Candidates {
+		sub := plan.Problem
+		sub.Objective, sub.Bound = core.LatencyUnderPeriod, k
+		if _, ok := e.cache[Fingerprint(sub, opts)]; ok {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSweepFrontSolveCount guards the solves an exact sweep issues: on
+// a fixed 8-stage heterogeneous data-parallel pipeline over 6 processors
+// every cache miss is a candidate the divide-and-conquer solved, and no
+// PeriodUnderLatency probe runs. A one-port fork sweep, whose candidate
+// set is coarse, still probes every point it accepts.
+func TestSweepFrontSolveCount(t *testing.T) {
+	pipe := workflow.NewPipeline(14, 4, 2, 4, 7, 3, 9, 5)
+	pr := core.Problem{Pipeline: &pipe, Platform: platform.New(5, 4, 3, 2, 2, 1), AllowDataParallel: true}
+	opts := core.Options{}.Normalized()
+	plan, err := core.PlanSweep(pr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plan.Exact || plan.Tighten {
+		t.Fatalf("plan %+v, want an exact sweep without probes", plan)
+	}
+	e := New(2)
+	points, stats := collectSweep(t, e, pr, opts)
+	misses := e.Stats().Misses
+	if solved := candidateSolves(e, plan, opts); misses != uint64(solved) || e.CacheSize() != solved {
+		t.Errorf("%d misses and %d cache entries for %d candidate solves: the sweep ran other solves", misses, e.CacheSize(), solved)
+	}
+	if misses >= uint64(stats.Total) {
+		t.Errorf("%d solves for %d candidates: the divide-and-conquer pruned nothing", misses, stats.Total)
+	}
+	if len(points) < 2 {
+		t.Fatalf("front of %d points, want a trade-off", len(points))
+	}
+	t.Logf("%d points, %d solves for %d candidates", len(points), misses, stats.Total)
+
+	fork := fullmodel.Fork{Root: 4, In: 1, Out0: 2, Weights: []float64{3, 5}, Outs: []float64{1, 2}}
+	cf := core.Problem{CommFork: &fork, Platform: platform.New(3, 2, 1), Bandwidth: &fullmodel.Bandwidth{Uniform: 2}}
+	if plan, err = core.PlanSweep(cf, opts); err != nil {
+		t.Fatal(err)
+	}
+	if !plan.Exact || !plan.Tighten {
+		t.Fatalf("comm-fork plan %+v, want an exact sweep with probes", plan)
+	}
+	e = New(2)
+	points, _ = collectSweep(t, e, cf, opts)
+	if len(points) == 0 {
+		t.Fatal("comm-fork sweep emitted no points")
+	}
+	if probes := e.Stats().Misses - uint64(candidateSolves(e, plan, opts)); probes != uint64(len(points)) {
+		t.Errorf("comm-fork sweep ran %d probes for %d points, want one per accepted point", probes, len(points))
 	}
 }
