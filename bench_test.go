@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -793,6 +794,107 @@ func BenchmarkSolveSPParallel(b *testing.B) {
 	if serial.SPMapping != nil && parallel.SPMapping != nil &&
 		!reflect.DeepEqual(serial, parallel) {
 		b.Fatal("parallel SP solve diverges from serial solve")
+	}
+}
+
+// BenchmarkParallelSpeedup measures what intra-solve parallelism buys
+// on each instance shape that has a parallel path. Each iteration draws
+// one random instance of the shape (heterogeneous platform, MinPeriod
+// and MinLatency alternating) and times five pairs of serial and
+// Parallelism=2 solves of it, alternating which runs first; the
+// reported speedup is the median over iterations of the per-instance
+// ratio, serial time over parallel time. docs/performance.md records
+// the figures of
+//
+//	go test -run '^$' -bench BenchmarkParallelSpeedup -benchtime 30x -cpu 2 .
+func BenchmarkParallelSpeedup(b *testing.B) {
+	raised := core.Options{MaxExhaustiveForkStages: 9, MaxExhaustiveForkProcs: 7}
+	hetPlatform := func(rng *rand.Rand, p int) platform.Platform {
+		for {
+			if pl := platform.Random(rng, p, 5); !pl.IsHomogeneous() {
+				return pl
+			}
+		}
+	}
+	irreducible := func(rng *rand.Rand, n int) *workflow.SP {
+		for {
+			if g := workflow.RandomSP(rng, n, 9, 4, 3); len(g.Steps) == n {
+				if _, ok := spdecomp.Reduce(g); !ok {
+					return &g
+				}
+			}
+		}
+	}
+	commPipeline := func(rng *rand.Rand, n int) *fullmodel.Pipeline {
+		ws, data := make([]float64, n), make([]float64, n+1)
+		for i := range ws {
+			ws[i] = float64(1 + rng.Intn(9))
+		}
+		for i := range data {
+			data[i] = float64(rng.Intn(5))
+		}
+		p := fullmodel.NewPipeline(ws, data)
+		return &p
+	}
+	shapes := []struct {
+		name string
+		opts core.Options
+		gen  func(rng *rand.Rand) core.Problem
+	}{
+		{"fork-5leaves-5procs-dp", core.Options{}, func(rng *rand.Rand) core.Problem {
+			f := workflow.RandomFork(rng, 5, 9)
+			return core.Problem{Fork: &f, Platform: hetPlatform(rng, 5), AllowDataParallel: true}
+		}},
+		{"fork-join-4leaves-5procs", core.Options{}, func(rng *rand.Rand) core.Problem {
+			fj := workflow.RandomForkJoin(rng, 4, 9)
+			return core.Problem{ForkJoin: &fj, Platform: hetPlatform(rng, 5)}
+		}},
+		{"sp-6steps-5procs", core.Options{}, func(rng *rand.Rand) core.Problem {
+			return core.Problem{SP: irreducible(rng, 6), Platform: hetPlatform(rng, 5)}
+		}},
+		{"sp-8steps-4procs", raised, func(rng *rand.Rand) core.Problem {
+			return core.Problem{SP: irreducible(rng, 8), Platform: hetPlatform(rng, 4)}
+		}},
+		{"comm-pipeline-8stages-7procs", raised, func(rng *rand.Rand) core.Problem {
+			return core.Problem{CommPipeline: commPipeline(rng, 8), Bandwidth: &fullmodel.Bandwidth{Uniform: 2}, Platform: hetPlatform(rng, 7)}
+		}},
+		{"comm-pipeline-6stages-5procs", core.Options{}, func(rng *rand.Rand) core.Problem {
+			return core.Problem{CommPipeline: commPipeline(rng, 6), Bandwidth: &fullmodel.Bandwidth{Uniform: 2}, Platform: hetPlatform(rng, 5)}
+		}},
+	}
+	for _, shape := range shapes {
+		b.Run(shape.name, func(b *testing.B) {
+			serialOpts, parOpts := shape.opts, shape.opts
+			parOpts.Parallelism = 2
+			timed := func(pr core.Problem, opts core.Options) time.Duration {
+				start := time.Now()
+				if _, err := core.Solve(pr, opts); err != nil {
+					b.Fatal(err)
+				}
+				return time.Since(start)
+			}
+			ratios := make([]float64, 0, b.N)
+			for i := 0; i < b.N; i++ {
+				pr := shape.gen(rand.New(rand.NewSource(int64(i))))
+				if i%2 == 1 {
+					pr.Objective = core.MinLatency
+				}
+				timed(pr, serialOpts) // warm the shared platform tables
+				var serial, parallel time.Duration
+				for pair := 0; pair < 5; pair++ {
+					if pair%2 == 0 {
+						serial += timed(pr, serialOpts)
+						parallel += timed(pr, parOpts)
+					} else {
+						parallel += timed(pr, parOpts)
+						serial += timed(pr, serialOpts)
+					}
+				}
+				ratios = append(ratios, float64(serial)/float64(parallel))
+			}
+			sort.Float64s(ratios)
+			b.ReportMetric(ratios[len(ratios)/2], "speedup")
+		})
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 
 // anytimeSpec projects a problem onto the portfolio's spec.
 func anytimeSpec(pr Problem) anytime.Spec {
-	return anytime.Spec{Goal: goalOf(pr), AllowDP: pr.AllowDataParallel}
+	return anytime.Spec{Goal: GoalOf(pr), AllowDP: pr.AllowDataParallel}
 }
 
 // anytimeSeedBase derives the portfolio RNG seed from the instance so
@@ -86,7 +86,7 @@ func solvePipelineAnytime(ctx context.Context, pr Problem, opts Options) (Soluti
 	cfg := anytime.Config{Seed: anytimeSeedBase(pr)}
 	if pipelineInLimits(pr, opts) {
 		cfg.Exact = func(ctx context.Context) (anytime.Exact, error) {
-			res, ok, err := exhaustive.NewPipelinePrepared(p, pl, pr.AllowDataParallel).Solve(ctx, goalOf(pr))
+			res, ok, err := exhaustive.NewPipelinePrepared(p, pl, pr.AllowDataParallel).Solve(ctx, GoalOf(pr))
 			if err != nil {
 				return anytime.Exact{}, err
 			}
@@ -107,7 +107,7 @@ func solveForkAnytime(ctx context.Context, pr Problem, opts Options) (Solution, 
 	// The legacy path polishes its pick with hill climbing; seed the
 	// portfolio with the polished mapping too.
 	if idx, ok := pickBestIndex(costs, pr); ok {
-		if m, _, err := heuristics.LocalSearchFork(f, pl, seeds[idx], forkPolish(goalOf(pr))); err == nil {
+		if m, _, err := heuristics.LocalSearchFork(f, pl, seeds[idx], GoalOf(pr)); err == nil {
 			seeds = append(seeds, m)
 		}
 	}
@@ -116,7 +116,7 @@ func solveForkAnytime(ctx context.Context, pr Problem, opts Options) (Solution, 
 		cfg.Exact = func(ctx context.Context) (anytime.Exact, error) {
 			// The portfolio already saturates cores with concurrent
 			// members; its exact member stays serial.
-			res, ok, err := exhaustive.NewForkPrepared(f, pl, pr.AllowDataParallel).Solve(ctx, goalOf(pr))
+			res, ok, err := exhaustive.NewForkPrepared(f, pl, pr.AllowDataParallel).Solve(ctx, GoalOf(pr))
 			if err != nil {
 				return anytime.Exact{}, err
 			}
@@ -137,7 +137,7 @@ func solveForkJoinAnytime(ctx context.Context, pr Problem, opts Options) (Soluti
 	cfg := anytime.Config{Seed: anytimeSeedBase(pr)}
 	if forkJoinInLimits(pr, opts) {
 		cfg.Exact = func(ctx context.Context) (anytime.Exact, error) {
-			res, ok, err := exhaustive.NewForkJoinPrepared(fj, pl, pr.AllowDataParallel).Solve(ctx, goalOf(pr))
+			res, ok, err := exhaustive.NewForkJoinPrepared(fj, pl, pr.AllowDataParallel).Solve(ctx, GoalOf(pr))
 			if err != nil {
 				return anytime.Exact{}, err
 			}

@@ -104,8 +104,8 @@ func TestAnytimeNeverWorseThanHeuristicCorpus(t *testing.T) {
 			t.Errorf("trial %d: portfolio infeasible where the heuristic found %v", trial, heur.Cost)
 			continue
 		}
-		ha := goalOf(pr).Value(heur.Cost)
-		aa := goalOf(pr).Value(any.Cost)
+		ha := GoalOf(pr).Value(heur.Cost)
+		aa := GoalOf(pr).Value(any.Cost)
 		if aa > ha*(1+1e-9) {
 			t.Errorf("trial %d (%v): anytime objective %g worse than heuristic %g", trial, CellKeyOf(pr), aa, ha)
 		}
@@ -138,8 +138,8 @@ func TestAnytimeGapZeroMatchesExhaustive(t *testing.T) {
 		if any.Gap != 0 {
 			t.Errorf("trial %d: certified optimum has gap %g", trial, any.Gap)
 		}
-		av := goalOf(pr).Value(any.Cost)
-		ev := goalOf(pr).Value(exact.Cost)
+		av := GoalOf(pr).Value(any.Cost)
+		ev := GoalOf(pr).Value(exact.Cost)
 		if av > ev*(1+1e-9) || ev > av*(1+1e-9) {
 			t.Errorf("trial %d (%v): anytime objective %g != exhaustive optimum %g", trial, CellKeyOf(pr), av, ev)
 		}

@@ -48,15 +48,15 @@ func (o Objective) Bounded() bool {
 }
 
 // minimizesPeriod reports whether the objective minimizes the period
-// (the goalOf(pr).MinimizePeriod of a problem, where only the objective
+// (the GoalOf(pr).MinimizePeriod of a problem, where only the objective
 // is at hand).
 func (o Objective) minimizesPeriod() bool {
 	return o == MinPeriod || o == PeriodUnderLatency
 }
 
-// goalOf projects a problem's objective and bound onto the cost-level
+// GoalOf projects a problem's objective and bound onto the cost-level
 // goal every search optimizes.
-func goalOf(pr Problem) mapping.Goal {
+func GoalOf(pr Problem) mapping.Goal {
 	switch pr.Objective {
 	case MinPeriod:
 		return mapping.Goal{MinimizePeriod: true}

@@ -340,10 +340,7 @@ func legacySolveForkHard(pr Problem, f workflow.Fork, cl Classification, opts Op
 		return infeasible(MethodHeuristic, false, cl)
 	}
 	best, bestCost := maps[idx], costs[idx]
-	obj := heuristics.ForkMinLatency
-	if pr.Objective == MinPeriod || pr.Objective == PeriodUnderLatency {
-		obj = heuristics.ForkMinPeriod
-	}
+	obj := mapping.Goal{MinimizePeriod: pr.Objective == MinPeriod || pr.Objective == PeriodUnderLatency}
 	if m, c, err := heuristics.LocalSearchFork(f, pl, best, obj); err == nil {
 		ok := true
 		switch pr.Objective {
@@ -352,7 +349,7 @@ func legacySolveForkHard(pr Problem, f workflow.Fork, cl Classification, opts Op
 		case PeriodUnderLatency:
 			ok = !numeric.Greater(c.Latency, pr.Bound)
 		}
-		if ok && numeric.Less(goalOf(pr).Value(c), goalOf(pr).Value(bestCost)) {
+		if ok && numeric.Less(GoalOf(pr).Value(c), GoalOf(pr).Value(bestCost)) {
 			best, bestCost = m, c
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repliflow/internal/mapping"
 	"repliflow/internal/workflow"
 )
 
@@ -112,6 +113,52 @@ func preparedOnce(prepare func(Problem, Options) *PreparedCell, beyond SolverFun
 		return beyond(ctx, pr, opts)
 	}
 }
+
+// cellResult is the result shape of every legacy cell's algorithm: a
+// mapping of the kind with its exact cost (pipealgo.Result,
+// forkalgo.Result, forkalgo.ForkJoinResult, exhaustive.Result).
+type cellResult[M any] interface {
+	~struct {
+		Mapping M
+		Cost    mapping.Cost
+	}
+}
+
+// solutionWrap builds a kind's Solution from a mapping and its cost.
+type solutionWrap[M any] func(M, mapping.Cost, Method, bool, Classification) Solution
+
+// answer is the exact answer of a legacy cell: the algorithm's error, an
+// infeasible Solution when ok is false (the bound admits no mapping),
+// or wrap's Solution of the result.
+func answer[M any, R cellResult[M]](pr Problem, method Method, wrap solutionWrap[M], r R, ok bool, err error) (Solution, error) {
+	if err != nil {
+		return Solution{}, err
+	}
+	cl := classificationOf(pr)
+	if !ok {
+		return infeasible(method, true, cl), nil
+	}
+	res := struct {
+		Mapping M
+		Cost    mapping.Cost
+	}(r)
+	return wrap(res.Mapping, res.Cost, method, true, cl), nil
+}
+
+// polynomial is the registry entry of a polynomial cell: run calls the
+// cell's algorithm, whose ok is false when the bound admits no mapping,
+// and wrap builds the kind's Solution.
+func polynomial[M any, R cellResult[M]](method Method, source string, wrap solutionWrap[M], run func(Problem) (R, bool, error)) SolverEntry {
+	return SolverEntry{Method: method, Exact: true, Source: source,
+		Solve: func(_ context.Context, pr Problem, _ Options) (Solution, error) {
+			r, ok, err := run(pr)
+			return answer(pr, method, wrap, r, ok, err)
+		}}
+}
+
+// always adapts an algorithm that finds a mapping whenever it succeeds
+// to the shape of polynomial's run.
+func always[R any](r R, err error) (R, bool, error) { return r, true, err }
 
 // registry maps every Table 1 dispatch cell to its solver, and cellNames
 // every registered cell to its label. Both are populated at init time by

@@ -55,8 +55,8 @@ func TestSolveSection2HomPlatform(t *testing.T) {
 func TestSolveSection2HetPlatformExhaustive(t *testing.T) {
 	// The NP-hard cell (data-parallelism on a heterogeneous platform) is
 	// solved exactly for this small instance; the model-consistent optima
-	// are period 4.5 and latency 8.5 (see EXPERIMENTS.md for the
-	// discrepancy with the paper's claimed 5 and 12.8).
+	// are period 4.5 and latency 8.5, not the paper's claimed 5 and 12.8
+	// (table.Section2Report's rows E2.15 and E2.16 record why).
 	pl := platform.New(2, 2, 1, 1)
 	sol, err := Solve(pipeProblem(section2, pl, true, MinPeriod, 0), Options{})
 	if err != nil {
@@ -240,9 +240,9 @@ func TestSolveMatchesExhaustiveOnRandomInstances(t *testing.T) {
 				opt, _ := exhaustive.PipelineLatency(p, pl, dp)
 				want = opt.Cost.Latency
 			}
-			if !numeric.Eq(goalOf(Problem{Objective: obj}).Value(sol.Cost), want) {
+			if !numeric.Eq(GoalOf(Problem{Objective: obj}).Value(sol.Cost), want) {
 				t.Fatalf("trial %d: pipeline %v dp=%v obj=%v: Solve %v != exhaustive %v (%v)",
-					trial, p.Weights, dp, obj, goalOf(Problem{Objective: obj}).Value(sol.Cost), want, sol)
+					trial, p.Weights, dp, obj, GoalOf(Problem{Objective: obj}).Value(sol.Cost), want, sol)
 			}
 		} else {
 			f := workflow.RandomFork(rng, 1+rng.Intn(3), 9)
@@ -262,9 +262,9 @@ func TestSolveMatchesExhaustiveOnRandomInstances(t *testing.T) {
 				opt, _ := exhaustive.ForkLatency(f, pl, dp)
 				want = opt.Cost.Latency
 			}
-			if !numeric.Eq(goalOf(Problem{Objective: obj}).Value(sol.Cost), want) {
+			if !numeric.Eq(GoalOf(Problem{Objective: obj}).Value(sol.Cost), want) {
 				t.Fatalf("trial %d: fork %+v dp=%v obj=%v: Solve %v != exhaustive %v (%v)",
-					trial, f, dp, obj, goalOf(Problem{Objective: obj}).Value(sol.Cost), want, sol)
+					trial, f, dp, obj, GoalOf(Problem{Objective: obj}).Value(sol.Cost), want, sol)
 			}
 		}
 	}

@@ -246,7 +246,7 @@ func prepareCommPipeHom(pr Problem, _ Options) *PreparedCell {
 	solve := func(_ context.Context, pr2 Problem) (Solution, error) {
 		cl := classificationOf(pr2)
 		method := commPipeHomMethod(pr2.Objective)
-		m, c, ok, err := pp.SolveHom(goalOf(pr2))
+		m, c, ok, err := pp.SolveHom(GoalOf(pr2))
 		if err != nil {
 			return Solution{}, err
 		}
@@ -274,7 +274,7 @@ func prepareCommPipeHard(pr Problem, opts Options) *PreparedCell {
 		pp.SetParallelism(searchParallelism(opts, pr))
 		solve := func(ctx context.Context, pr2 Problem) (Solution, error) {
 			cl := classificationOf(pr2)
-			m, c, ok, err := pp.SolveExact(ctx, goalOf(pr2))
+			m, c, ok, err := pp.SolveExact(ctx, GoalOf(pr2))
 			if err != nil {
 				return Solution{}, err
 			}
@@ -323,7 +323,7 @@ func prepareCommFork(pr Problem, opts Options) *PreparedCell {
 		}
 		solve := func(ctx context.Context, pr2 Problem) (Solution, error) {
 			cl := classificationOf(pr2)
-			m, c, ok, err := fp.SolveExact(ctx, goalOf(pr2))
+			m, c, ok, err := fp.SolveExact(ctx, GoalOf(pr2))
 			if err != nil {
 				return Solution{}, err
 			}

@@ -111,30 +111,23 @@ func init() {
 			return fpFloats(b, pr.ForkJoin.Weights)
 		},
 	})
-	for _, kind := range []workflow.Kind{workflow.KindFork, workflow.KindForkJoin} {
-		periodSolver, t11, t14 := solveForkHomPeriod, solveForkTheorem11, solveForkTheorem14
-		prepare, beyond := prepareForkHard, solveForkHeuristic
-		if kind == workflow.KindForkJoin {
-			periodSolver, t11, t14 = solveForkJoinHomPeriod, solveForkJoinTheorem11, solveForkJoinTheorem14
-			prepare, beyond = prepareForkJoinHard, solveForkJoinHeuristic
-		}
-		hard := preparedOnce(prepare, beyond)
+	for _, fam := range []forkFamily{forkCells(), forkJoinCells()} {
+		kind := fam.kind
+		hard := preparedOnce(fam.prepare, fam.beyond)
 
 		// Homogeneous platforms: period is straightforward (Theorem 10);
 		// the remaining objectives are polynomial only for homogeneous
 		// forks (Theorem 11) and NP-hard otherwise (Theorem 12).
 		for _, gh := range bools {
 			for _, dp := range bools {
-				register(CellKey{kind, true, gh, dp, MinPeriod},
-					SolverEntry{MethodClosedForm, true, "Theorem 10", periodSolver, nil})
+				register(CellKey{kind, true, gh, dp, MinPeriod}, fam.homPeriod)
 			}
 		}
 		for _, dp := range bools {
 			for _, obj := range objs[1:] {
-				register(CellKey{kind, true, true, dp, obj},
-					SolverEntry{MethodDP, true, "Theorem 11", t11, nil})
+				register(CellKey{kind, true, true, dp, obj}, fam.theorem11[obj])
 				register(CellKey{kind, true, false, dp, obj},
-					SolverEntry{MethodExhaustive, true, "Theorem 12", hard, prepare})
+					SolverEntry{MethodExhaustive, true, "Theorem 12", hard, fam.prepare})
 			}
 		}
 
@@ -143,99 +136,109 @@ func init() {
 		// is NP-hard (Theorem 13), and so are heterogeneous forks
 		// (Theorems 12/15).
 		for _, obj := range objs {
-			register(CellKey{kind, false, true, false, obj},
-				SolverEntry{MethodBinarySearchDP, true, "Theorem 14", t14, nil})
+			register(CellKey{kind, false, true, false, obj}, fam.theorem14[obj])
 			source := "Theorems 12/15"
 			if obj == MinPeriod {
 				source = "Theorem 15"
 			}
 			register(CellKey{kind, false, false, false, obj},
-				SolverEntry{MethodExhaustive, true, source, hard, prepare})
+				SolverEntry{MethodExhaustive, true, source, hard, fam.prepare})
 			for _, gh := range bools {
 				register(CellKey{kind, false, gh, true, obj},
-					SolverEntry{MethodExhaustive, true, "Theorem 13", hard, prepare})
+					SolverEntry{MethodExhaustive, true, "Theorem 13", hard, fam.prepare})
 			}
 		}
 	}
 }
 
+// forkFamily is what the fork and fork-join columns register per kind:
+// fork-joins classify exactly as forks (Section 6.3), so both kinds
+// share one registration structure.
+type forkFamily struct {
+	kind workflow.Kind
+	// homPeriod is Theorem 10's cell; theorem11 and theorem14 hold the
+	// polynomial cells of those theorems by objective.
+	homPeriod            SolverEntry
+	theorem11, theorem14 map[Objective]SolverEntry
+	// prepare and beyond solve the NP-hard cells within and beyond the
+	// exhaustive limits.
+	prepare func(Problem, Options) *PreparedCell
+	beyond  SolverFunc
+}
+
+func forkCells() forkFamily {
+	return forkFamily{
+		kind: workflow.KindFork,
+		homPeriod: polynomial(MethodClosedForm, "Theorem 10", forkSolution, func(pr Problem) (forkalgo.Result, bool, error) {
+			return always(forkalgo.HomForkPeriod(*pr.Fork, pr.Platform))
+		}),
+		theorem11: map[Objective]SolverEntry{
+			MinLatency: polynomial(MethodDP, "Theorem 11", forkSolution, func(pr Problem) (forkalgo.Result, bool, error) {
+				return always(forkalgo.HomForkLatency(*pr.Fork, pr.Platform, pr.AllowDataParallel))
+			}),
+			LatencyUnderPeriod: polynomial(MethodDP, "Theorem 11", forkSolution, func(pr Problem) (forkalgo.Result, bool, error) {
+				return forkalgo.HomForkLatencyUnderPeriod(*pr.Fork, pr.Platform, pr.AllowDataParallel, pr.Bound)
+			}),
+			PeriodUnderLatency: polynomial(MethodDP, "Theorem 11", forkSolution, func(pr Problem) (forkalgo.Result, bool, error) {
+				return forkalgo.HomForkPeriodUnderLatency(*pr.Fork, pr.Platform, pr.AllowDataParallel, pr.Bound)
+			}),
+		},
+		theorem14: map[Objective]SolverEntry{
+			MinPeriod: polynomial(MethodBinarySearchDP, "Theorem 14", forkSolution, func(pr Problem) (forkalgo.Result, bool, error) {
+				return always(forkalgo.HetHomForkPeriodNoDP(*pr.Fork, pr.Platform))
+			}),
+			MinLatency: polynomial(MethodBinarySearchDP, "Theorem 14", forkSolution, func(pr Problem) (forkalgo.Result, bool, error) {
+				return always(forkalgo.HetHomForkLatencyNoDP(*pr.Fork, pr.Platform))
+			}),
+			LatencyUnderPeriod: polynomial(MethodBinarySearchDP, "Theorem 14", forkSolution, func(pr Problem) (forkalgo.Result, bool, error) {
+				return forkalgo.HetHomForkLatencyUnderPeriodNoDP(*pr.Fork, pr.Platform, pr.Bound)
+			}),
+			PeriodUnderLatency: polynomial(MethodBinarySearchDP, "Theorem 14", forkSolution, func(pr Problem) (forkalgo.Result, bool, error) {
+				return forkalgo.HetHomForkPeriodUnderLatencyNoDP(*pr.Fork, pr.Platform, pr.Bound)
+			}),
+		},
+		prepare: prepareForkHard,
+		beyond:  solveForkHeuristic,
+	}
+}
+
+func forkJoinCells() forkFamily {
+	return forkFamily{
+		kind: workflow.KindForkJoin,
+		homPeriod: polynomial(MethodClosedForm, "Theorem 10", forkJoinSolution, func(pr Problem) (forkalgo.ForkJoinResult, bool, error) {
+			return always(forkalgo.HomForkJoinPeriod(*pr.ForkJoin, pr.Platform))
+		}),
+		theorem11: map[Objective]SolverEntry{
+			MinLatency: polynomial(MethodDP, "Theorem 11", forkJoinSolution, func(pr Problem) (forkalgo.ForkJoinResult, bool, error) {
+				return always(forkalgo.HomForkJoinLatency(*pr.ForkJoin, pr.Platform, pr.AllowDataParallel))
+			}),
+			LatencyUnderPeriod: polynomial(MethodDP, "Theorem 11", forkJoinSolution, func(pr Problem) (forkalgo.ForkJoinResult, bool, error) {
+				return forkalgo.HomForkJoinLatencyUnderPeriod(*pr.ForkJoin, pr.Platform, pr.AllowDataParallel, pr.Bound)
+			}),
+			PeriodUnderLatency: polynomial(MethodDP, "Theorem 11", forkJoinSolution, func(pr Problem) (forkalgo.ForkJoinResult, bool, error) {
+				return forkalgo.HomForkJoinPeriodUnderLatency(*pr.ForkJoin, pr.Platform, pr.AllowDataParallel, pr.Bound)
+			}),
+		},
+		theorem14: map[Objective]SolverEntry{
+			MinPeriod: polynomial(MethodBinarySearchDP, "Theorem 14", forkJoinSolution, func(pr Problem) (forkalgo.ForkJoinResult, bool, error) {
+				return always(forkalgo.HetHomForkJoinPeriodNoDP(*pr.ForkJoin, pr.Platform))
+			}),
+			MinLatency: polynomial(MethodBinarySearchDP, "Theorem 14", forkJoinSolution, func(pr Problem) (forkalgo.ForkJoinResult, bool, error) {
+				return always(forkalgo.HetHomForkJoinLatencyNoDP(*pr.ForkJoin, pr.Platform))
+			}),
+			LatencyUnderPeriod: polynomial(MethodBinarySearchDP, "Theorem 14", forkJoinSolution, func(pr Problem) (forkalgo.ForkJoinResult, bool, error) {
+				return forkalgo.HetHomForkJoinLatencyUnderPeriodNoDP(*pr.ForkJoin, pr.Platform, pr.Bound)
+			}),
+			PeriodUnderLatency: polynomial(MethodBinarySearchDP, "Theorem 14", forkJoinSolution, func(pr Problem) (forkalgo.ForkJoinResult, bool, error) {
+				return forkalgo.HetHomForkJoinPeriodUnderLatencyNoDP(*pr.ForkJoin, pr.Platform, pr.Bound)
+			}),
+		},
+		prepare: prepareForkJoinHard,
+		beyond:  solveForkJoinHeuristic,
+	}
+}
+
 // --- Fork solvers ----------------------------------------------------------
-
-func solveForkHomPeriod(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	res, err := forkalgo.HomForkPeriod(*pr.Fork, pr.Platform)
-	if err != nil {
-		return Solution{}, err
-	}
-	return forkSolution(res.Mapping, res.Cost, MethodClosedForm, true, classificationOf(pr)), nil
-}
-
-func solveForkTheorem11(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	f, pl, dp := *pr.Fork, pr.Platform, pr.AllowDataParallel
-	cl := classificationOf(pr)
-	switch pr.Objective {
-	case MinLatency:
-		res, err := forkalgo.HomForkLatency(f, pl, dp)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	case LatencyUnderPeriod:
-		res, ok, err := forkalgo.HomForkLatencyUnderPeriod(f, pl, dp, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodDP, true, cl), nil
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	default: // PeriodUnderLatency
-		res, ok, err := forkalgo.HomForkPeriodUnderLatency(f, pl, dp, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodDP, true, cl), nil
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	}
-}
-
-func solveForkTheorem14(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	f, pl := *pr.Fork, pr.Platform
-	cl := classificationOf(pr)
-	switch pr.Objective {
-	case MinPeriod:
-		res, err := forkalgo.HetHomForkPeriodNoDP(f, pl)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	case MinLatency:
-		res, err := forkalgo.HetHomForkLatencyNoDP(f, pl)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	case LatencyUnderPeriod:
-		res, ok, err := forkalgo.HetHomForkLatencyUnderPeriodNoDP(f, pl, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodBinarySearchDP, true, cl), nil
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	default:
-		res, ok, err := forkalgo.HetHomForkPeriodUnderLatencyNoDP(f, pl, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodBinarySearchDP, true, cl), nil
-		}
-		return forkSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	}
-}
 
 // forkInLimits reports whether a fork instance is within the exhaustive
 // set-partition limits: its stages (root plus leaves) and processors.
@@ -251,14 +254,6 @@ func forkJoinInLimits(pr Problem, opts Options) bool {
 		pr.Platform.Processors() <= opts.MaxExhaustiveForkProcs
 }
 
-// forkPolish is the hill-climbing criterion of a goal's minimized metric.
-func forkPolish(goal mapping.Goal) heuristics.ForkObjective {
-	if goal.MinimizePeriod {
-		return heuristics.ForkMinPeriod
-	}
-	return heuristics.ForkMinLatency
-}
-
 // solveForkHeuristic solves the NP-hard fork cells beyond the exhaustive
 // limits: the best polynomial heuristic candidate, polished by hill
 // climbing on the optimized criterion and kept polished only if it still
@@ -271,8 +266,8 @@ func solveForkHeuristic(_ context.Context, pr Problem, _ Options) (Solution, err
 		return infeasible(MethodHeuristic, false, cl), nil
 	}
 	best, bestCost := maps[idx], costs[idx]
-	goal := goalOf(pr)
-	if m, c, err := heuristics.LocalSearchFork(*pr.Fork, pr.Platform, best, forkPolish(goal)); err == nil &&
+	goal := GoalOf(pr)
+	if m, c, err := heuristics.LocalSearchFork(*pr.Fork, pr.Platform, best, goal); err == nil &&
 		goal.Feasible(c) && numeric.Less(goal.Value(c), goal.Value(bestCost)) {
 		best, bestCost = m, c
 	}
@@ -308,82 +303,6 @@ func forkHeuristicCandidates(pr Problem) ([]mapping.ForkMapping, []mapping.Cost)
 
 // --- Fork-join solvers -----------------------------------------------------
 
-func solveForkJoinHomPeriod(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	res, err := forkalgo.HomForkJoinPeriod(*pr.ForkJoin, pr.Platform)
-	if err != nil {
-		return Solution{}, err
-	}
-	return forkJoinSolution(res.Mapping, res.Cost, MethodClosedForm, true, classificationOf(pr)), nil
-}
-
-func solveForkJoinTheorem11(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	fj, pl, dp := *pr.ForkJoin, pr.Platform, pr.AllowDataParallel
-	cl := classificationOf(pr)
-	switch pr.Objective {
-	case MinLatency:
-		res, err := forkalgo.HomForkJoinLatency(fj, pl, dp)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	case LatencyUnderPeriod:
-		res, ok, err := forkalgo.HomForkJoinLatencyUnderPeriod(fj, pl, dp, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodDP, true, cl), nil
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	default:
-		res, ok, err := forkalgo.HomForkJoinPeriodUnderLatency(fj, pl, dp, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodDP, true, cl), nil
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-	}
-}
-
-func solveForkJoinTheorem14(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	fj, pl := *pr.ForkJoin, pr.Platform
-	cl := classificationOf(pr)
-	switch pr.Objective {
-	case MinPeriod:
-		res, err := forkalgo.HetHomForkJoinPeriodNoDP(fj, pl)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	case MinLatency:
-		res, err := forkalgo.HetHomForkJoinLatencyNoDP(fj, pl)
-		if err != nil {
-			return Solution{}, err
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	case LatencyUnderPeriod:
-		res, ok, err := forkalgo.HetHomForkJoinLatencyUnderPeriodNoDP(fj, pl, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodBinarySearchDP, true, cl), nil
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	default:
-		res, ok, err := forkalgo.HetHomForkJoinPeriodUnderLatencyNoDP(fj, pl, pr.Bound)
-		if err != nil {
-			return Solution{}, err
-		}
-		if !ok {
-			return infeasible(MethodBinarySearchDP, true, cl), nil
-		}
-		return forkJoinSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-	}
-}
-
 // solveForkJoinHeuristic solves the NP-hard fork-join cells beyond the
 // exhaustive limits with the best polynomial heuristic candidate.
 func solveForkJoinHeuristic(_ context.Context, pr Problem, _ Options) (Solution, error) {
@@ -412,7 +331,7 @@ func forkJoinHeuristicCandidates(pr Problem) ([]mapping.ForkJoinMapping, []mappi
 	}
 	add(mapping.ReplicateAllForkJoin(fj, pl))
 	add(wholeForkJoinOnProcessor(fj, pl.Fastest()))
-	if m, _, err := heuristics.HetForkJoinGreedy(fj, pl, goalOf(pr).MinimizePeriod); err == nil {
+	if m, _, err := heuristics.HetForkJoinGreedy(fj, pl, GoalOf(pr).MinimizePeriod); err == nil {
 		add(m)
 	}
 	return maps, costs

@@ -54,24 +54,39 @@ func init() {
 	})
 
 	// Homogeneous platforms: every cell is polynomial (Theorems 1-4,
-	// Corollary 1).
+	// Corollary 1). Corollary 1: without data-parallelism every mapping
+	// has latency W/s, so replicating everything reaches the minimum
+	// period; the bound only decides feasibility.
 	for _, gh := range bools {
 		for _, dp := range bools {
-			register(CellKey{kind, true, gh, dp, MinPeriod},
-				SolverEntry{MethodClosedForm, true, "Theorem 1", solvePipeHomPeriod, nil})
+			register(CellKey{kind, true, gh, dp, MinPeriod}, polynomial(MethodClosedForm, "Theorem 1", pipeSolution,
+				func(pr Problem) (pipealgo.Result, bool, error) {
+					return always(pipealgo.HomPeriod(*pr.Pipeline, pr.Platform))
+				}))
 		}
-		register(CellKey{kind, true, gh, false, MinLatency},
-			SolverEntry{MethodClosedForm, true, "Theorem 2", solvePipeHomLatencyNoDP, nil})
-		register(CellKey{kind, true, gh, false, LatencyUnderPeriod},
-			SolverEntry{MethodClosedForm, true, "Corollary 1", solvePipeHomBiCriteriaNoDP, nil})
-		register(CellKey{kind, true, gh, false, PeriodUnderLatency},
-			SolverEntry{MethodClosedForm, true, "Corollary 1", solvePipeHomBiCriteriaNoDP, nil})
-		register(CellKey{kind, true, gh, true, MinLatency},
-			SolverEntry{MethodDP, true, "Theorem 3", solvePipeHomLatencyDP, nil})
-		register(CellKey{kind, true, gh, true, LatencyUnderPeriod},
-			SolverEntry{MethodDP, true, "Theorem 4", solvePipeHomLatencyUnderPeriodDP, nil})
-		register(CellKey{kind, true, gh, true, PeriodUnderLatency},
-			SolverEntry{MethodDP, true, "Theorem 4", solvePipeHomPeriodUnderLatencyDP, nil})
+		register(CellKey{kind, true, gh, false, MinLatency}, polynomial(MethodClosedForm, "Theorem 2", pipeSolution,
+			func(pr Problem) (pipealgo.Result, bool, error) {
+				return always(pipealgo.HomLatencyNoDP(*pr.Pipeline, pr.Platform))
+			}))
+		for _, obj := range []Objective{LatencyUnderPeriod, PeriodUnderLatency} {
+			register(CellKey{kind, true, gh, false, obj}, polynomial(MethodClosedForm, "Corollary 1", pipeSolution,
+				func(pr Problem) (pipealgo.Result, bool, error) {
+					res, err := pipealgo.HomBiCriteriaNoDP(*pr.Pipeline, pr.Platform)
+					return res, GoalOf(pr).Feasible(res.Cost), err
+				}))
+		}
+		register(CellKey{kind, true, gh, true, MinLatency}, polynomial(MethodDP, "Theorem 3", pipeSolution,
+			func(pr Problem) (pipealgo.Result, bool, error) {
+				return always(pipealgo.HomLatencyDP(*pr.Pipeline, pr.Platform))
+			}))
+		register(CellKey{kind, true, gh, true, LatencyUnderPeriod}, polynomial(MethodDP, "Theorem 4", pipeSolution,
+			func(pr Problem) (pipealgo.Result, bool, error) {
+				return pipealgo.HomLatencyUnderPeriodDP(*pr.Pipeline, pr.Platform, pr.Bound)
+			}))
+		register(CellKey{kind, true, gh, true, PeriodUnderLatency}, polynomial(MethodDP, "Theorem 4", pipeSolution,
+			func(pr Problem) (pipealgo.Result, bool, error) {
+				return pipealgo.HomPeriodUnderLatencyDP(*pr.Pipeline, pr.Platform, pr.Bound)
+			}))
 	}
 
 	// Heterogeneous platforms without data-parallelism: latency is always
@@ -79,15 +94,23 @@ func init() {
 	// homogeneous pipelines (Theorems 7-8) and NP-hard otherwise
 	// (Theorem 9).
 	for _, gh := range bools {
-		register(CellKey{kind, false, gh, false, MinLatency},
-			SolverEntry{MethodClosedForm, true, "Theorem 6", solvePipeHetLatencyNoDP, nil})
+		register(CellKey{kind, false, gh, false, MinLatency}, polynomial(MethodClosedForm, "Theorem 6", pipeSolution,
+			func(pr Problem) (pipealgo.Result, bool, error) {
+				return always(pipealgo.HetLatencyNoDP(*pr.Pipeline, pr.Platform))
+			}))
 	}
-	register(CellKey{kind, false, true, false, MinPeriod},
-		SolverEntry{MethodBinarySearchDP, true, "Theorem 7", solvePipeHetHomPeriodNoDP, nil})
-	register(CellKey{kind, false, true, false, LatencyUnderPeriod},
-		SolverEntry{MethodBinarySearchDP, true, "Theorem 8", solvePipeHetHomLatencyUnderPeriodNoDP, nil})
-	register(CellKey{kind, false, true, false, PeriodUnderLatency},
-		SolverEntry{MethodBinarySearchDP, true, "Theorem 8", solvePipeHetHomPeriodUnderLatencyNoDP, nil})
+	register(CellKey{kind, false, true, false, MinPeriod}, polynomial(MethodBinarySearchDP, "Theorem 7", pipeSolution,
+		func(pr Problem) (pipealgo.Result, bool, error) {
+			return always(pipealgo.HetHomPipelinePeriodNoDP(*pr.Pipeline, pr.Platform))
+		}))
+	register(CellKey{kind, false, true, false, LatencyUnderPeriod}, polynomial(MethodBinarySearchDP, "Theorem 8", pipeSolution,
+		func(pr Problem) (pipealgo.Result, bool, error) {
+			return pipealgo.HetHomPipelineLatencyUnderPeriodNoDP(*pr.Pipeline, pr.Platform, pr.Bound)
+		}))
+	register(CellKey{kind, false, true, false, PeriodUnderLatency}, polynomial(MethodBinarySearchDP, "Theorem 8", pipeSolution,
+		func(pr Problem) (pipealgo.Result, bool, error) {
+			return pipealgo.HetHomPipelinePeriodUnderLatencyNoDP(*pr.Pipeline, pr.Platform, pr.Bound)
+		}))
 	hard := preparedOnce(preparePipelineHard, solvePipelineHeuristic)
 	for _, obj := range []Objective{MinPeriod, LatencyUnderPeriod, PeriodUnderLatency} {
 		register(CellKey{kind, false, false, false, obj},
@@ -103,113 +126,6 @@ func init() {
 				SolverEntry{MethodExhaustive, true, "Theorem 5", hard, preparePipelineHard})
 		}
 	}
-}
-
-// --- Polynomial cells (homogeneous platform) -------------------------------
-
-func solvePipeHomPeriod(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	res, err := pipealgo.HomPeriod(*pr.Pipeline, pr.Platform)
-	if err != nil {
-		return Solution{}, err
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodClosedForm, true, classificationOf(pr)), nil
-}
-
-func solvePipeHomLatencyNoDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	res, err := pipealgo.HomLatencyNoDP(*pr.Pipeline, pr.Platform)
-	if err != nil {
-		return Solution{}, err
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodClosedForm, true, classificationOf(pr)), nil
-}
-
-// solvePipeHomBiCriteriaNoDP handles Corollary 1: without data-parallelism
-// every mapping has latency W/s, so replicating everything reaches the
-// minimum period; the bound only decides feasibility.
-func solvePipeHomBiCriteriaNoDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	cl := classificationOf(pr)
-	res, err := pipealgo.HomBiCriteriaNoDP(*pr.Pipeline, pr.Platform)
-	if err != nil {
-		return Solution{}, err
-	}
-	if !goalOf(pr).Feasible(res.Cost) {
-		return infeasible(MethodClosedForm, true, cl), nil
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodClosedForm, true, cl), nil
-}
-
-func solvePipeHomLatencyDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	res, err := pipealgo.HomLatencyDP(*pr.Pipeline, pr.Platform)
-	if err != nil {
-		return Solution{}, err
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodDP, true, classificationOf(pr)), nil
-}
-
-func solvePipeHomLatencyUnderPeriodDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	cl := classificationOf(pr)
-	res, ok, err := pipealgo.HomLatencyUnderPeriodDP(*pr.Pipeline, pr.Platform, pr.Bound)
-	if err != nil {
-		return Solution{}, err
-	}
-	if !ok {
-		return infeasible(MethodDP, true, cl), nil
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-}
-
-func solvePipeHomPeriodUnderLatencyDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	cl := classificationOf(pr)
-	res, ok, err := pipealgo.HomPeriodUnderLatencyDP(*pr.Pipeline, pr.Platform, pr.Bound)
-	if err != nil {
-		return Solution{}, err
-	}
-	if !ok {
-		return infeasible(MethodDP, true, cl), nil
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodDP, true, cl), nil
-}
-
-// --- Polynomial cells (heterogeneous platform, no data-parallelism) --------
-
-func solvePipeHetLatencyNoDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	res, err := pipealgo.HetLatencyNoDP(*pr.Pipeline, pr.Platform)
-	if err != nil {
-		return Solution{}, err
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodClosedForm, true, classificationOf(pr)), nil
-}
-
-func solvePipeHetHomPeriodNoDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	res, err := pipealgo.HetHomPipelinePeriodNoDP(*pr.Pipeline, pr.Platform)
-	if err != nil {
-		return Solution{}, err
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, classificationOf(pr)), nil
-}
-
-func solvePipeHetHomLatencyUnderPeriodNoDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	cl := classificationOf(pr)
-	res, ok, err := pipealgo.HetHomPipelineLatencyUnderPeriodNoDP(*pr.Pipeline, pr.Platform, pr.Bound)
-	if err != nil {
-		return Solution{}, err
-	}
-	if !ok {
-		return infeasible(MethodBinarySearchDP, true, cl), nil
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
-}
-
-func solvePipeHetHomPeriodUnderLatencyNoDP(_ context.Context, pr Problem, _ Options) (Solution, error) {
-	cl := classificationOf(pr)
-	res, ok, err := pipealgo.HetHomPipelinePeriodUnderLatencyNoDP(*pr.Pipeline, pr.Platform, pr.Bound)
-	if err != nil {
-		return Solution{}, err
-	}
-	if !ok {
-		return infeasible(MethodBinarySearchDP, true, cl), nil
-	}
-	return pipeSolution(res.Mapping, res.Cost, MethodBinarySearchDP, true, cl), nil
 }
 
 // --- NP-hard cells ---------------------------------------------------------
@@ -254,19 +170,12 @@ type goalSolver[M any] interface {
 }
 
 // exhaustiveSolve is the prepared solve of a legacy NP-hard cell within
-// the exhaustive limits: s answers goalOf(pr), and wrap builds the
+// the exhaustive limits: s answers GoalOf(pr), and wrap builds the
 // kind's exact Solution.
-func exhaustiveSolve[M any](s goalSolver[M], wrap func(M, mapping.Cost, Method, bool, Classification) Solution) PreparedSolve {
+func exhaustiveSolve[M any](s goalSolver[M], wrap solutionWrap[M]) PreparedSolve {
 	return func(ctx context.Context, pr Problem) (Solution, error) {
-		res, ok, err := s.Solve(ctx, goalOf(pr))
-		if err != nil {
-			return Solution{}, err
-		}
-		cl := classificationOf(pr)
-		if !ok {
-			return infeasible(MethodExhaustive, true, cl), nil
-		}
-		return wrap(res.Mapping, res.Cost, MethodExhaustive, true, cl), nil
+		res, ok, err := s.Solve(ctx, GoalOf(pr))
+		return answer(pr, MethodExhaustive, wrap, res, ok, err)
 	}
 }
 
@@ -285,7 +194,7 @@ func pipelineHeuristicCandidates(pr Problem) ([]mapping.PipelineMapping, []mappi
 		}
 	}
 	if pr.AllowDataParallel {
-		m, c, err := heuristics.HetPipelineWithDP(p, pl, goalOf(pr).MinimizePeriod)
+		m, c, err := heuristics.HetPipelineWithDP(p, pl, GoalOf(pr).MinimizePeriod)
 		add(m, c, err)
 		m, c, err = heuristics.HetPipelineWithDP(p, pl, false)
 		add(m, c, err)
@@ -303,7 +212,7 @@ func pipelineHeuristicCandidates(pr Problem) ([]mapping.PipelineMapping, []mappi
 // objective among those meeting the bound.
 func pickBestIndex(costs []mapping.Cost, pr Problem) (int, bool) {
 	best := -1
-	goal := goalOf(pr)
+	goal := GoalOf(pr)
 	for i, c := range costs {
 		if !goal.Feasible(c) {
 			continue

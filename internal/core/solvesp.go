@@ -234,7 +234,7 @@ func solveSPAnytime(ctx context.Context, pr Problem, opts Options) (Solution, er
 	if red, ok := spdecomp.Reduce(g); ok {
 		return solveSPReduction(ctx, pr, red, opts)
 	}
-	goal := goalOf(pr)
+	goal := GoalOf(pr)
 	// Within the exhaustive limits, try to certify the true optimum inside
 	// the budget — the SP analogue of the legacy portfolio's exact member.
 	// A budget that expires mid-enumeration falls through to the budgeted
@@ -343,7 +343,7 @@ func prepareSPIrreducible(pr Problem, opts Options) *PreparedCell {
 	inLimits := spInLimits(pr, opts)
 	solve := func(ctx context.Context, pr2 Problem) (Solution, error) {
 		cl := classificationOf(pr2)
-		goal := goalOf(pr2)
+		goal := GoalOf(pr2)
 		if inLimits {
 			blocks, cost, ok, err := pp.Exhaustive(ctx, goal)
 			if err != nil {

@@ -34,7 +34,6 @@
 package exhaustive
 
 import (
-	"context"
 	"encoding/binary"
 	"math"
 	"math/bits"
@@ -43,51 +42,6 @@ import (
 
 	"repliflow/internal/platform"
 )
-
-// checkpointInterval is how many search steps pass between context polls:
-// frequent enough that cancellation lands within microseconds, sparse
-// enough that the poll cost vanishes against the search work.
-const checkpointInterval = 1024
-
-// stepper spreads context polls over the exponential search loops. Every
-// solver threads one stepper through its recursion; once the context is
-// cancelled the stepper latches the error and every subsequent ok() call
-// fails fast, unwinding the search.
-type stepper struct {
-	ctx context.Context
-	// credit counts the steps left until the next context poll. The hot
-	// path is a single predictable decrement-and-branch; err can only be
-	// latched when credit is exhausted, so credit > 0 implies err == nil.
-	credit int
-	err    error
-}
-
-func newStepper(ctx context.Context) *stepper { return &stepper{ctx: ctx} }
-
-// ok reports whether the search may continue, polling the context every
-// checkpointInterval calls.
-func (s *stepper) ok() bool {
-	if s.credit > 0 {
-		s.credit--
-		return true
-	}
-	if s.err != nil {
-		return false
-	}
-	if err := s.ctx.Err(); err != nil {
-		s.err = err
-		return false
-	}
-	s.credit = checkpointInterval - 1
-	return true
-}
-
-// reset rearms the stepper for a fresh solve on a (possibly) new context.
-func (s *stepper) reset(ctx context.Context) {
-	s.ctx = ctx
-	s.credit = 0
-	s.err = nil
-}
 
 // maskInfo caches per-subset aggregates of a platform. The inverse fields
 // turn the divisions of the DP inner loops into multiplications, and procs

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repliflow/internal/anytime"
+	"repliflow/internal/incumbent"
 	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
 	"repliflow/internal/partition"
@@ -22,7 +23,7 @@ type forkEnum struct {
 	pl      platform.Platform
 	allowDP bool
 	info    []maskInfo
-	step    *stepper
+	poll    incumbent.Poller
 	assign  []int
 	blocks  []mapping.ForkBlock
 	masks   []int // per-block processor subset masks, parallel to blocks
@@ -39,7 +40,6 @@ func newForkEnum(f workflow.Fork, pl platform.Platform, allowDP bool) *forkEnum 
 	return &forkEnum{
 		f: f, pl: pl, allowDP: allowDP,
 		info:    tableFor(pl),
-		step:    newStepper(context.Background()),
 		assign:  make([]int, f.Leaves()+1),
 		blocks:  make([]mapping.ForkBlock, p),
 		masks:   make([]int, p),
@@ -91,10 +91,10 @@ func (e *forkEnum) leafCost(blocks []mapping.ForkBlock) mapping.Cost {
 
 // runFrom invokes visit for every valid fork mapping under a fixed
 // restricted-growth prefix naming used blocks (nil enumerates
-// everything), stopping early once the stepper latches a context error
+// everything), stopping early once the poller latches a context error
 // — which it returns — or visit returns false.
 func (e *forkEnum) runFrom(ctx context.Context, prefix []int, used int, visit func(mapping.ForkMapping, mapping.Cost) bool) error {
-	e.step.reset(ctx)
+	e.poll.Reset(ctx)
 	full := (1 << e.pl.Processors()) - 1
 	items := e.f.Leaves() + 1
 	copy(e.assign, prefix)
@@ -129,7 +129,7 @@ func (e *forkEnum) runFrom(ctx context.Context, prefix []int, used int, visit fu
 		}
 		var rec func(b, usedMask int) bool
 		rec = func(b, usedMask int) bool {
-			if !e.step.ok() {
+			if !e.poll.Ok() {
 				return false
 			}
 			if b == nblocks {
@@ -158,7 +158,7 @@ func (e *forkEnum) runFrom(ctx context.Context, prefix []int, used int, visit fu
 		}
 		return rec(0, 0)
 	})
-	return e.step.err
+	return e.poll.Err()
 }
 
 func (e *forkEnum) fresh() blockEnum[mapping.ForkMapping] { return newForkEnum(e.f, e.pl, e.allowDP) }
@@ -173,15 +173,7 @@ func (e *forkEnum) clone(m mapping.ForkMapping) mapping.ForkMapping {
 // shared platform table happens only here — when a mapping is retained —
 // never inside the enumeration loops, so callers own their mappings
 // without the table ever escaping.
-func (e *forkEnum) retain(m mapping.ForkMapping) mapping.ForkMapping {
-	blocks := make([]mapping.ForkBlock, len(m.Blocks))
-	copy(blocks, m.Blocks)
-	for i := range blocks {
-		blocks[i].Leaves = append([]int(nil), blocks[i].Leaves...)
-		blocks[i].Procs = append([]int(nil), blocks[i].Procs...)
-	}
-	return mapping.ForkMapping{Blocks: blocks}
-}
+func (e *forkEnum) retain(m mapping.ForkMapping) mapping.ForkMapping { return m.Clone() }
 
 // EnumerateFork invokes visit for every valid fork mapping: every set
 // partition of the stages (root = item 0, leaf i = item i+1), every

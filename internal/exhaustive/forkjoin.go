@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repliflow/internal/anytime"
+	"repliflow/internal/incumbent"
 	"repliflow/internal/mapping"
 	"repliflow/internal/partition"
 	"repliflow/internal/platform"
@@ -20,7 +21,7 @@ type fjEnum struct {
 	pl      platform.Platform
 	allowDP bool
 	info    []maskInfo
-	step    *stepper
+	poll    incumbent.Poller
 	assign  []int
 	blocks  []mapping.ForkJoinBlock
 	masks   []int // per-block processor subset masks, parallel to blocks
@@ -38,7 +39,6 @@ func newFJEnum(fj workflow.ForkJoin, pl platform.Platform, allowDP bool) *fjEnum
 	return &fjEnum{
 		fj: fj, pl: pl, allowDP: allowDP,
 		info:    tableFor(pl),
-		step:    newStepper(context.Background()),
 		assign:  make([]int, fj.Leaves()+2),
 		blocks:  make([]mapping.ForkJoinBlock, p),
 		masks:   make([]int, p),
@@ -106,7 +106,7 @@ func (e *fjEnum) leafCost(blocks []mapping.ForkJoinBlock) mapping.Cost {
 
 // runFrom is forkEnum.runFrom for fork-join mappings.
 func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, visit func(mapping.ForkJoinMapping, mapping.Cost) bool) error {
-	e.step.reset(ctx)
+	e.poll.Reset(ctx)
 	full := (1 << e.pl.Processors()) - 1
 	items := e.fj.Leaves() + 2
 	copy(e.assign, prefix)
@@ -148,7 +148,7 @@ func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, visit func
 		}
 		var rec func(b, usedMask int) bool
 		rec = func(b, usedMask int) bool {
-			if !e.step.ok() {
+			if !e.poll.Ok() {
 				return false
 			}
 			if b == nblocks {
@@ -178,7 +178,7 @@ func (e *fjEnum) runFrom(ctx context.Context, prefix []int, used int, visit func
 		}
 		return rec(0, 0)
 	})
-	return e.step.err
+	return e.poll.Err()
 }
 
 func (e *fjEnum) fresh() blockEnum[mapping.ForkJoinMapping] { return newFJEnum(e.fj, e.pl, e.allowDP) }
@@ -191,15 +191,7 @@ func (e *fjEnum) clone(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
 // retain deep-copies the block, leaf and processor slices of a scratch
 // mapping (Procs are copied out of the shared platform table exactly as
 // in forkEnum.retain: on retention, not per visit).
-func (e *fjEnum) retain(m mapping.ForkJoinMapping) mapping.ForkJoinMapping {
-	blocks := make([]mapping.ForkJoinBlock, len(m.Blocks))
-	copy(blocks, m.Blocks)
-	for i := range blocks {
-		blocks[i].Leaves = append([]int(nil), blocks[i].Leaves...)
-		blocks[i].Procs = append([]int(nil), blocks[i].Procs...)
-	}
-	return mapping.ForkJoinMapping{Blocks: blocks}
-}
+func (e *fjEnum) retain(m mapping.ForkJoinMapping) mapping.ForkJoinMapping { return m.Clone() }
 
 // EnumerateForkJoin invokes visit for every valid fork-join mapping. Each
 // visited mapping is an independent copy the visitor may retain.

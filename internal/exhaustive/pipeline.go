@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repliflow/internal/anytime"
+	"repliflow/internal/incumbent"
 	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
@@ -45,7 +46,7 @@ type pipeSolver struct {
 	full    int
 	n       int
 	pbits   int // pl.Processors(), the state-id shift
-	step    *stepper
+	poll    incumbent.Poller
 	// suffix[i] is the total weight of stages i..n-1, feeding the
 	// anytime lower bound that prunes a state's search once its best
 	// value provably cannot improve.
@@ -62,7 +63,7 @@ func newPipeSolver(ctx context.Context, p workflow.Pipeline, pl platform.Platfor
 	for i := n - 1; i >= 0; i-- {
 		suffix[i] = suffix[i+1] + p.Weights[i]
 	}
-	return &pipeSolver{
+	s := &pipeSolver{
 		p: p, pl: pl, info: tableFor(pl), allowDP: allowDP,
 		periodCap: periodCap, minimizePeriod: minimizePeriod,
 		memo:    make([]float64, states),
@@ -72,15 +73,16 @@ func newPipeSolver(ctx context.Context, p workflow.Pipeline, pl platform.Platfor
 		full:    (1 << pl.Processors()) - 1,
 		n:       n,
 		pbits:   pl.Processors(),
-		step:    newStepper(ctx),
 		suffix:  suffix,
 		prune:   true,
 	}
+	s.poll.Reset(ctx)
+	return s
 }
 
 // reset rearms the solver for a fresh solve under a new cap/objective: the
 // DP state is invalidated by bumping the epoch (no reallocation, no
-// clearing), and the stepper is rearmed on ctx.
+// clearing), and the poller is rearmed on ctx.
 func (s *pipeSolver) reset(ctx context.Context, periodCap float64, minimizePeriod bool) {
 	s.periodCap = periodCap
 	s.minimizePeriod = minimizePeriod
@@ -89,7 +91,7 @@ func (s *pipeSolver) reset(ctx context.Context, periodCap float64, minimizePerio
 		clear(s.visited)
 		s.epoch = 1
 	}
-	s.step.reset(ctx)
+	s.poll.Reset(ctx)
 }
 
 // stateLB returns the anytime lower bound on the state value of mapping
@@ -137,7 +139,7 @@ func (s *pipeSolver) solve(i, usedMask int) float64 {
 	wi := s.p.Weights[i]
 search:
 	for sub := free; sub > 0; sub = (sub - 1) & free {
-		if !s.step.ok() {
+		if !s.poll.Ok() {
 			// Cancelled: abandon the state (memo holds a partial value
 			// that is never read — result() surfaces the error first).
 			return numeric.Inf
@@ -231,8 +233,8 @@ func (s *pipeSolver) reconstruct() mapping.PipelineMapping {
 
 func (s *pipeSolver) result() (PipelineResult, bool, error) {
 	v := s.solve(0, 0)
-	if s.step.err != nil {
-		return PipelineResult{}, false, s.step.err
+	if err := s.poll.Err(); err != nil {
+		return PipelineResult{}, false, err
 	}
 	if math.IsInf(v, 1) {
 		return PipelineResult{}, false, nil

@@ -46,7 +46,7 @@ func TestSection2HetOptimalPeriod(t *testing.T) {
 	// checked by an exhaustive exploration", but under its own Section 3.4
 	// model the mapping [S1,S2 replicated on P1,P2][S3,S4 replicated on
 	// P3,P4] achieves 18/(2*2) = 4.5. Our exhaustive search finds that
-	// optimum; the discrepancy is documented in EXPERIMENTS.md.
+	// optimum; table.Section2Report's row E2.15 records the discrepancy.
 	pl := platform.New(2, 2, 1, 1)
 	res, ok := PipelinePeriod(example, pl, true)
 	if !ok || !numeric.Eq(res.Cost.Period, 4.5) {
@@ -63,7 +63,7 @@ func TestSection2HetOptimalLatency(t *testing.T) {
 	// contradicts its own Theorem 6 (whole pipeline on a fastest processor:
 	// 24/2 = 12). The true optimum under the Section 3.4 model is
 	// 14/4 + 10/2 = 8.5 (S1 data-parallel on {P2,P3,P4}, the rest on P1).
-	// See EXPERIMENTS.md.
+	// table.Section2Report's row E2.16 records the discrepancy.
 	pl := platform.New(2, 2, 1, 1)
 	res, ok := PipelineLatency(example, pl, true)
 	if !ok || !numeric.Eq(res.Cost.Latency, 8.5) {

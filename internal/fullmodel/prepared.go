@@ -337,7 +337,8 @@ func (pp *PipelinePrepared) SolveExact(ctx context.Context, goal mapping.Goal) (
 					pp.walkers[w] = &walker{pp: pp, bounds: make([]int, 0, pp.n), alloc: make([]int, 0, pp.n)}
 				}
 				wk := pp.walkers[w]
-				wk.ctx, wk.goal, wk.sh, wk.best, wk.iter, wk.err = ctx, goal, sh, pipeResult{}, 0, nil
+				wk.goal, wk.sh, wk.best = goal, sh, pipeResult{}
+				wk.poll.Reset(ctx)
 				wk.bounds, wk.alloc = wk.bounds[:0], wk.alloc[:0]
 				if nshards == 1 {
 					wk.walk(0, 0)
@@ -346,7 +347,7 @@ func (pp *PipelinePrepared) SolveExact(ctx context.Context, goal mapping.Goal) (
 					wk.alloc = append(wk.alloc, u)
 					wk.walk(j+1, 1<<u)
 				}
-				return wk.best, wk.err
+				return wk.best, wk.poll.Err()
 			})
 		if err != nil {
 			return Mapping{}, mapping.Cost{}, false, err
@@ -373,50 +374,51 @@ func (pp *PipelinePrepared) pruneInterval(goal mapping.Goal, i, j, u int, bound 
 }
 
 // walker is one worker's comm-pipeline enumeration: the intervals chosen
-// so far and the shard being scanned.
+// so far, the shard being scanned and its context poller.
 type walker struct {
 	pp            *PipelinePrepared
 	bounds, alloc []int
-	ctx           context.Context
+	poll          incumbent.Poller
 	goal          mapping.Goal
 	sh            *incumbent.Shard
 	best          pipeResult
-	iter          int
-	err           error
 }
 
 // walk extends the current intervals from stage i with the processors
-// in mask taken, offering every complete mapping to the shard.
-func (wk *walker) walk(i, mask int) {
+// in mask taken, offering every complete mapping to the shard. It
+// returns false once the context is cancelled.
+func (wk *walker) walk(i, mask int) bool {
 	pp := wk.pp
 	if i == pp.n {
-		if wk.iter++; wk.iter%256 == 0 {
-			if wk.err = wk.ctx.Err(); wk.err != nil {
-				return
-			}
+		if !wk.poll.Ok() {
+			return false
 		}
 		c := evalTrusted(&pp.p, &pp.pl, Mapping{Bounds: wk.bounds, Alloc: wk.alloc})
 		if !wk.goal.Feasible(c) {
-			return
+			return true
 		}
 		if install, _ := wk.sh.Offer(wk.goal.Value(c)); install {
 			wk.best = pipeResult{m: cloneMapping(Mapping{Bounds: wk.bounds, Alloc: wk.alloc}), c: c, ok: true}
 		}
-		return
+		return true
 	}
 	procs := len(pp.pl.Speeds) // not pl.Processors(): its value receiver copies pl per call
-	for j := i; j < pp.n && wk.err == nil; j++ {
+	for j := i; j < pp.n; j++ {
 		for u := 0; u < procs; u++ {
 			if mask&(1<<u) != 0 || pp.pruneInterval(wk.goal, i, j, u, wk.sh.Bound()) {
 				continue
 			}
 			wk.bounds = append(wk.bounds, j+1)
 			wk.alloc = append(wk.alloc, u)
-			wk.walk(j+1, mask|1<<u)
+			ok := wk.walk(j+1, mask|1<<u)
 			wk.bounds = wk.bounds[:len(wk.bounds)-1]
 			wk.alloc = wk.alloc[:len(wk.alloc)-1]
+			if !ok {
+				return false
+			}
 		}
 	}
+	return true
 }
 
 // forkResult is one memoized one-port fork solve.
@@ -441,6 +443,7 @@ type ForkPrepared struct {
 	leafBufs   [][]int
 	post       []float64
 	order      []int
+	poll       incumbent.Poller
 
 	memo map[mapping.Goal]forkResult
 }
@@ -518,16 +521,11 @@ func (fp *ForkPrepared) SolveExact(ctx context.Context, goal mapping.Goal) (Fork
 // scan enumerates every fork mapping, offering the feasible ones to the
 // shard's install rule.
 func (fp *ForkPrepared) scan(ctx context.Context, goal mapping.Goal, sh *incumbent.Shard) (forkResult, error) {
-	var (
-		best forkResult
-		iter int
-		err  error
-	)
+	var best forkResult
+	fp.poll.Reset(ctx)
 	tryAssign := func(blocks int) bool {
-		if iter++; iter%128 == 0 {
-			if err = ctx.Err(); err != nil {
-				return false
-			}
+		if !fp.poll.Ok() {
+			return false
 		}
 		m := ForkMapping{RootBlock: 0, Blocks: fp.blocks[:blocks]}
 		for b := 0; b < blocks; b++ {
@@ -567,5 +565,5 @@ func (fp *ForkPrepared) scan(ctx context.Context, goal mapping.Goal, sh *incumbe
 	partition.From(fp.assign, fp.n+1, fp.pl.Processors(), 0, 0, func(_ []int, blocks int) bool {
 		return partition.Injective(fp.blockProcs, fp.usedProc, blocks, func() bool { return tryAssign(blocks) })
 	})
-	return best, err
+	return best, fp.poll.Err()
 }

@@ -7,34 +7,18 @@ import (
 	"repliflow/internal/workflow"
 )
 
-// ForkObjective selects what LocalSearchFork minimizes.
-type ForkObjective int
-
-const (
-	// ForkMinPeriod minimizes the period.
-	ForkMinPeriod ForkObjective = iota
-	// ForkMinLatency minimizes the latency.
-	ForkMinLatency
-)
-
-func forkObjectiveValue(c mapping.Cost, o ForkObjective) float64 {
-	if o == ForkMinPeriod {
-		return c.Period
-	}
-	return c.Latency
-}
-
 // LocalSearchFork improves a valid fork mapping by hill climbing on the
-// selected objective with four move kinds: moving a leaf between blocks,
-// moving a processor between blocks, splitting a leaf out onto an idle
-// processor, and merging two blocks. The returned mapping is always valid
-// and never worse than the input.
-func LocalSearchFork(f workflow.Fork, pl platform.Platform, m mapping.ForkMapping, obj ForkObjective) (mapping.ForkMapping, mapping.Cost, error) {
+// goal's minimized metric (its caps are not enforced) with four move
+// kinds: moving a leaf between blocks, moving a processor between
+// blocks, splitting a leaf out onto an idle processor, and merging two
+// blocks. The returned mapping is always valid and never worse than the
+// input.
+func LocalSearchFork(f workflow.Fork, pl platform.Platform, m mapping.ForkMapping, goal mapping.Goal) (mapping.ForkMapping, mapping.Cost, error) {
 	cur, err := mapping.EvalFork(f, pl, m)
 	if err != nil {
 		return mapping.ForkMapping{}, mapping.Cost{}, err
 	}
-	best := cloneForkMapping(m)
+	best := m.Clone()
 	const maxRounds = 200
 	for round := 0; round < maxRounds; round++ {
 		improved := false
@@ -43,7 +27,7 @@ func LocalSearchFork(f workflow.Fork, pl platform.Platform, m mapping.ForkMappin
 			if err != nil {
 				continue
 			}
-			if numeric.Less(forkObjectiveValue(c, obj), forkObjectiveValue(cur, obj)) {
+			if numeric.Less(goal.Value(c), goal.Value(cur)) {
 				best, cur = cand, c
 				improved = true
 				break
@@ -54,16 +38,6 @@ func LocalSearchFork(f workflow.Fork, pl platform.Platform, m mapping.ForkMappin
 		}
 	}
 	return best, cur, nil
-}
-
-func cloneForkMapping(m mapping.ForkMapping) mapping.ForkMapping {
-	out := mapping.ForkMapping{Blocks: make([]mapping.ForkBlock, len(m.Blocks))}
-	for i, b := range m.Blocks {
-		out.Blocks[i] = b
-		out.Blocks[i].Leaves = append([]int(nil), b.Leaves...)
-		out.Blocks[i].Procs = append([]int(nil), b.Procs...)
-	}
-	return out
 }
 
 // dropEmptyBlocks removes non-root blocks left without stages.
@@ -91,7 +65,7 @@ func forkNeighbours(m mapping.ForkMapping, pl platform.Platform) []mapping.ForkM
 				if i == j {
 					continue
 				}
-				c := cloneForkMapping(m)
+				c := m.Clone()
 				leaf := c.Blocks[i].Leaves[li]
 				c.Blocks[i].Leaves = append(c.Blocks[i].Leaves[:li], c.Blocks[i].Leaves[li+1:]...)
 				c.Blocks[j].Leaves = append(c.Blocks[j].Leaves, leaf)
@@ -109,7 +83,7 @@ func forkNeighbours(m mapping.ForkMapping, pl platform.Platform) []mapping.ForkM
 			if i == j {
 				continue
 			}
-			c := cloneForkMapping(m)
+			c := m.Clone()
 			moved := c.Blocks[i].Procs[len(c.Blocks[i].Procs)-1]
 			c.Blocks[i].Procs = c.Blocks[i].Procs[:len(c.Blocks[i].Procs)-1]
 			c.Blocks[j].Procs = append(c.Blocks[j].Procs, moved)
@@ -134,7 +108,7 @@ func forkNeighbours(m mapping.ForkMapping, pl platform.Platform) []mapping.ForkM
 	if idle >= 0 {
 		for i := 0; i < k; i++ {
 			for li := range m.Blocks[i].Leaves {
-				c := cloneForkMapping(m)
+				c := m.Clone()
 				leaf := c.Blocks[i].Leaves[li]
 				c.Blocks[i].Leaves = append(c.Blocks[i].Leaves[:li], c.Blocks[i].Leaves[li+1:]...)
 				c.Blocks = append(c.Blocks, mapping.NewForkBlock(false, []int{leaf}, mapping.Replicated, idle))
@@ -149,7 +123,7 @@ func forkNeighbours(m mapping.ForkMapping, pl platform.Platform) []mapping.ForkM
 			if i == j || m.Blocks[j].Root {
 				continue
 			}
-			c := cloneForkMapping(m)
+			c := m.Clone()
 			c.Blocks[i].Leaves = append(c.Blocks[i].Leaves, c.Blocks[j].Leaves...)
 			c.Blocks[i].Procs = append(c.Blocks[i].Procs, c.Blocks[j].Procs...)
 			c.Blocks[i].Mode = mapping.Replicated

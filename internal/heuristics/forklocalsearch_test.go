@@ -20,12 +20,12 @@ func TestLocalSearchForkNeverWorsens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, obj := range []ForkObjective{ForkMinPeriod, ForkMinLatency} {
+		for _, obj := range []mapping.Goal{{MinimizePeriod: true}, {}} {
 			improved, c1, err := LocalSearchFork(f, pl, start, obj)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if numeric.Greater(forkObjectiveValue(c1, obj), forkObjectiveValue(c0, obj)) {
+			if numeric.Greater(obj.Value(c1), obj.Value(c0)) {
 				t.Fatalf("fork local search worsened objective %v: %v -> %v", obj, c0, c1)
 			}
 			if _, err := mapping.EvalFork(f, pl, improved); err != nil {
@@ -46,7 +46,7 @@ func TestLocalSearchForkImprovesBadStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, after, err := LocalSearchFork(f, pl, start, ForkMinLatency)
+	_, after, err := LocalSearchFork(f, pl, start, mapping.Goal{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestLocalSearchForkSoundAgainstExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, after, err := LocalSearchFork(f, pl, start, ForkMinPeriod)
+		_, after, err := LocalSearchFork(f, pl, start, mapping.Goal{MinimizePeriod: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestLocalSearchForkSoundAgainstExhaustive(t *testing.T) {
 func TestLocalSearchForkRejectsInvalidStart(t *testing.T) {
 	f := workflow.NewFork(1, 2)
 	pl := platform.Homogeneous(2, 1)
-	if _, _, err := LocalSearchFork(f, pl, mapping.ForkMapping{}, ForkMinPeriod); err == nil {
+	if _, _, err := LocalSearchFork(f, pl, mapping.ForkMapping{}, mapping.Goal{MinimizePeriod: true}); err == nil {
 		t.Error("invalid start accepted")
 	}
 }

@@ -13,7 +13,9 @@
 //     fork-join scans of internal/exhaustive, the SP block search of
 //     internal/spdecomp, and the comm-pipeline interval scan and
 //     comm-fork block scan of internal/fullmodel. Serial solves are its
-//     one-worker case.
+//     one-worker case;
+//   - Poller, the context poller of those scans and of the pipeline DP
+//     of internal/exhaustive (see poll.go).
 package incumbent
 
 import (

@@ -1,6 +1,8 @@
 package incumbent
 
 import (
+	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -78,5 +80,37 @@ func TestBoundConcurrentTighten(t *testing.T) {
 	wg.Wait()
 	if got := b.Load(); got != 1 {
 		t.Fatalf("concurrent tighten ended at %g, want 1", got)
+	}
+}
+
+// TestPollerPollsFirstThenEveryInterval: the first Ok after Reset polls,
+// so a cancelled context fails at once; a cancellation mid-scan lands
+// within PollInterval calls and then latches.
+func TestPollerPollsFirstThenEveryInterval(t *testing.T) {
+	var p Poller
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p.Reset(ctx)
+	if p.Ok() || !errors.Is(p.Err(), context.Canceled) {
+		t.Fatalf("first Ok on a cancelled context = true or err %v", p.Err())
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	p.Reset(ctx)
+	if p.Err() != nil {
+		t.Fatal("Reset kept the latched error")
+	}
+	p.Ok()
+	cancel()
+	calls := 0
+	for p.Ok() {
+		calls++
+	}
+	if calls != PollInterval-1 {
+		t.Fatalf("cancellation landed after %d calls, want %d", calls, PollInterval-1)
+	}
+	if p.Ok() || !errors.Is(p.Err(), context.Canceled) {
+		t.Fatalf("poller did not latch the cancellation: err %v", p.Err())
 	}
 }

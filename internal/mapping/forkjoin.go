@@ -224,3 +224,16 @@ func (m ForkJoinMapping) UsedProcessors() int {
 	}
 	return n
 }
+
+// Clone returns a deep copy the caller may mutate freely. The block
+// slice is always a fresh (non-nil) slice; an empty leaf or processor
+// list copies as nil.
+func (m ForkJoinMapping) Clone() ForkJoinMapping {
+	out := ForkJoinMapping{Blocks: make([]ForkJoinBlock, len(m.Blocks))}
+	for i, b := range m.Blocks {
+		out.Blocks[i] = b
+		out.Blocks[i].Leaves = append([]int(nil), b.Leaves...)
+		out.Blocks[i].Procs = append([]int(nil), b.Procs...)
+	}
+	return out
+}

@@ -129,3 +129,15 @@ func (m PipelineMapping) UsedProcessors() int {
 	}
 	return n
 }
+
+// Clone returns a deep copy the caller may mutate freely. The interval
+// slice is always a fresh (non-nil) slice; an empty processor list
+// copies as nil.
+func (m PipelineMapping) Clone() PipelineMapping {
+	out := PipelineMapping{Intervals: make([]PipelineInterval, len(m.Intervals))}
+	for i, iv := range m.Intervals {
+		out.Intervals[i] = iv
+		out.Intervals[i].Procs = append([]int(nil), iv.Procs...)
+	}
+	return out
+}

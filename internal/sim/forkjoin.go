@@ -15,7 +15,7 @@ import (
 // formula assumes wait-free processors (a processor's period is just its
 // assigned work over its speed), so on mappings where the join must wait,
 // the simulated sustainable period can exceed the analytic one — a model
-// subtlety the analytic framework abstracts away (see EXPERIMENTS.md).
+// subtlety the analytic framework abstracts away.
 //
 // Supported mappings: the root block must not contain the join stage
 // (fold such mappings into a single-block pipeline simulation instead);

@@ -89,13 +89,14 @@ func cloneSPBlocks(bs []mapping.SPBlock) []mapping.SPBlock {
 }
 
 // blockSearch is one worker's enumeration scratch: the evaluation state,
-// the restricted-growth string, the processor of each block and the
-// injective-assignment marks.
+// the restricted-growth string, the processor of each block, the
+// injective-assignment marks and the context poller.
 type blockSearch struct {
 	st        *evalState
 	assign    []int
 	blockProc []int
 	usedProc  []bool
+	poll      incumbent.Poller
 }
 
 func newBlockSearch(g workflow.SP, pl platform.Platform) (*blockSearch, error) {
@@ -119,19 +120,14 @@ func newBlockSearch(g workflow.SP, pl platform.Platform) (*blockSearch, error) {
 func (bs *blockSearch) scan(ctx context.Context, pre partition.Prefix, goal mapping.Goal, sh *incumbent.Shard) (spResult, error) {
 	st := bs.st
 	n := len(bs.assign)
-	var (
-		best spResult
-		iter int
-		err  error
-	)
+	var best spResult
+	bs.poll.Reset(ctx)
 	copy(bs.assign, pre.Assign)
 	partition.From(bs.assign, n, len(bs.usedProc), len(pre.Assign), pre.Used, func(assign []int, blocks int) bool {
-		if iter++; iter%64 == 0 {
-			if err = ctx.Err(); err != nil {
+		return partition.Injective(bs.blockProc, bs.usedProc, blocks, func() bool {
+			if !bs.poll.Ok() {
 				return false
 			}
-		}
-		return partition.Injective(bs.blockProc, bs.usedProc, blocks, func() bool {
 			for s := 0; s < n; s++ {
 				st.procOf[s] = bs.blockProc[assign[s]]
 			}
@@ -146,7 +142,7 @@ func (bs *blockSearch) scan(ctx context.Context, pre partition.Prefix, goal mapp
 			return !stop
 		})
 	})
-	return best, err
+	return best, bs.poll.Err()
 }
 
 // Exhaustive is the exhaustive block search for the prepared instance:

@@ -1,8 +1,7 @@
 // Package table regenerates the paper's artifacts: the Section 2 worked
 // example (every hand-derived number) and Table 1 (the complexity map,
 // verified cell by cell against exhaustive search and the executable
-// reductions). It backs cmd/wftable, the benchmark harness and
-// EXPERIMENTS.md.
+// reductions). It backs cmd/wftable and the benchmark harness.
 package table
 
 import (
@@ -34,8 +33,9 @@ func Section2Pipeline() workflow.Pipeline { return workflow.NewPipeline(14, 4, 2
 // Section2Report recomputes every number of the Section 2 worked example
 // and compares it against the paper's claim. Mapping-evaluation rows must
 // match exactly; two optimality claims for the heterogeneous platform are
-// refuted by exhaustive search (see EXPERIMENTS.md) and carry explanatory
-// notes.
+// refuted by exhaustive search and carry explanatory notes (rows E2.15
+// and E2.16: the true optima are period 4.5 and latency 8.5, not the
+// paper's 5 and 12.8).
 func Section2Report() []Section2Row {
 	p := Section2Pipeline()
 	hom := platform.Homogeneous(3, 1)

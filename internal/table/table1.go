@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"repliflow/internal/core"
 	"repliflow/internal/exhaustive"
+	"repliflow/internal/mapping"
 	"repliflow/internal/numeric"
 	"repliflow/internal/platform"
 	"repliflow/internal/workflow"
@@ -123,40 +125,22 @@ func randomInstance(rng *rand.Rand, c Cell) core.Problem {
 }
 
 // exhaustiveReference returns the exact optimum for the problem's
-// objective, using the exponential solvers.
+// objective, using the exponential solvers. A solve on a background
+// context cannot fail, so its error is not checked.
 func exhaustiveReference(pr core.Problem) (float64, bool) {
-	dp := pr.AllowDataParallel
+	goal := core.GoalOf(pr)
+	var (
+		c  mapping.Cost
+		ok bool
+	)
 	if pr.Pipeline != nil {
-		switch pr.Objective {
-		case core.MinPeriod:
-			r, ok := exhaustive.PipelinePeriod(*pr.Pipeline, pr.Platform, dp)
-			return r.Cost.Period, ok
-		case core.MinLatency:
-			r, ok := exhaustive.PipelineLatency(*pr.Pipeline, pr.Platform, dp)
-			return r.Cost.Latency, ok
-		default:
-			r, ok := exhaustive.PipelineLatencyUnderPeriod(*pr.Pipeline, pr.Platform, dp, pr.Bound)
-			return r.Cost.Latency, ok
-		}
+		r, found, _ := exhaustive.NewPipelinePrepared(*pr.Pipeline, pr.Platform, pr.AllowDataParallel).Solve(context.Background(), goal)
+		c, ok = r.Cost, found
+	} else {
+		r, found, _ := exhaustive.NewForkPrepared(*pr.Fork, pr.Platform, pr.AllowDataParallel).Solve(context.Background(), goal)
+		c, ok = r.Cost, found
 	}
-	switch pr.Objective {
-	case core.MinPeriod:
-		r, ok := exhaustive.ForkPeriod(*pr.Fork, pr.Platform, dp)
-		return r.Cost.Period, ok
-	case core.MinLatency:
-		r, ok := exhaustive.ForkLatency(*pr.Fork, pr.Platform, dp)
-		return r.Cost.Latency, ok
-	default:
-		r, ok := exhaustive.ForkLatencyUnderPeriod(*pr.Fork, pr.Platform, dp, pr.Bound)
-		return r.Cost.Latency, ok
-	}
-}
-
-func objectiveValue(c core.Problem, sol core.Solution) float64 {
-	if c.Objective == core.MinPeriod {
-		return sol.Cost.Period
-	}
-	return sol.Cost.Latency
+	return goal.Value(c), ok
 }
 
 // VerifyCell gathers evidence for one cell on `trials` random instances.
@@ -192,7 +176,7 @@ func VerifyCell(rng *rand.Rand, c Cell, trials int) Evidence {
 				continue
 			}
 			ref, ok := exhaustiveReference(pr)
-			if ok && numeric.Eq(objectiveValue(pr, sol), ref) {
+			if ok && numeric.Eq(core.GoalOf(pr).Value(sol.Cost), ref) {
 				ev.Agreements++
 			}
 			continue
@@ -208,7 +192,8 @@ func VerifyCell(rng *rand.Rand, c Cell, trials int) Evidence {
 			continue
 		}
 		ev.Agreements++
-		if gap := objectiveValue(pr, heur) / objectiveValue(pr, exact); gap > ev.MaxHeuristicGap {
+		goal := core.GoalOf(pr)
+		if gap := goal.Value(heur.Cost) / goal.Value(exact.Cost); gap > ev.MaxHeuristicGap {
 			ev.MaxHeuristicGap = gap
 		}
 	}
