@@ -603,9 +603,10 @@ func BenchmarkEngineSolveBatch(b *testing.B) {
 }
 
 // BenchmarkEngineParetoFront contrasts the serial candidate-period sweep
-// with the engine-backed sweep (concurrent batches + monotonicity pruning
-// on exactly-solved instances) on a heterogeneous 8-processor NP-hard
-// pipeline instance — the acceptance benchmark of the engine refactor.
+// with the engine-backed sweep (concurrent batches, and the front
+// oracle's candidates on exactly-solved instances) on a heterogeneous
+// 8-processor NP-hard pipeline instance — the acceptance benchmark of the
+// engine refactor — and with a warm engine's re-sweep.
 func BenchmarkEngineParetoFront(b *testing.B) {
 	p := workflow.NewPipeline(14, 4, 2, 4, 7, 5, 3, 9)
 	pl := platform.New(5, 4, 3, 3, 2, 2, 1, 1)
@@ -632,8 +633,30 @@ func BenchmarkEngineParetoFront(b *testing.B) {
 			engineFront = front
 		}
 	})
+	// Warm re-sweeps the instance on an engine that swept it once: every
+	// candidate solve is a cache hit, so it measures the sweep's own
+	// overhead (ungated).
+	var warmFront []core.Solution
+	b.Run("Warm", func(b *testing.B) {
+		b.ReportAllocs()
+		e := engine.New(0)
+		if _, err := e.ParetoFront(context.Background(), pr, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			front, err := e.ParetoFront(context.Background(), pr, core.Options{})
+			if err != nil || len(front) == 0 {
+				b.Fatalf("bad front: %v (err=%v)", len(front), err)
+			}
+			warmFront = front
+		}
+	})
 	if serialFront != nil && engineFront != nil && !reflect.DeepEqual(serialFront, engineFront) {
 		b.Fatal("engine front diverges from serial front")
+	}
+	if serialFront != nil && warmFront != nil && !reflect.DeepEqual(serialFront, warmFront) {
+		b.Fatal("warm engine front diverges from serial front")
 	}
 }
 

@@ -13,11 +13,14 @@ import (
 
 // cancelCase is one exhaustive scan with raised limits. Each full solve
 // takes 1.3-8 s on a 2-vCPU x86-64 container, so a cancellation after
-// 20ms lands mid-scan.
+// 20ms lands mid-scan. A sweep case runs a Pareto sweep's front oracle
+// instead: its label pass takes about 150ms there, after 15ms of bound
+// solves.
 type cancelCase struct {
-	name string
-	pr   Problem
-	opts Options
+	name  string
+	pr    Problem
+	opts  Options
+	sweep bool
 }
 
 func cancelCases() []cancelCase {
@@ -51,22 +54,32 @@ func cancelCases() []cancelCase {
 		Outs:    []float64{1, 0, 2, 1, 1, 2, 0},
 	}
 	bw := &fullmodel.Bandwidth{Uniform: 2}
+	// A long pipeline with fractional weights on 6 fractional speeds:
+	// cheap scalar solves, but a large label front in every state.
+	var long []float64
+	for len(long) < 64 {
+		long = append(long, 14.3, 4.1, 2.7, 4.9, 7.2, 5.5, 3.3, 9.8, 6.1, 2.6, 8.4, 3.9, 5.2, 7.7, 1.9, 6.6)
+	}
+	longPipe := workflow.NewPipeline(long...)
 	return []cancelCase{
-		{"fork", Problem{Fork: &fork, Platform: hetPl(6), AllowDataParallel: true, Objective: MinLatency}, forkLimits},
-		{"fork-join", Problem{ForkJoin: &fj, Platform: hetPl(6), AllowDataParallel: true, Objective: MinLatency}, forkLimits},
+		{"fork", Problem{Fork: &fork, Platform: hetPl(6), AllowDataParallel: true, Objective: MinLatency}, forkLimits, false},
+		{"fork-join", Problem{ForkJoin: &fj, Platform: hetPl(6), AllowDataParallel: true, Objective: MinLatency}, forkLimits, false},
 		{"pipeline-dp", Problem{Pipeline: &pipe, Platform: hetPl(14), AllowDataParallel: true, Objective: MinLatency},
-			Options{MaxExhaustivePipelineProcs: 14}},
-		{"sp-blocks", Problem{SP: &sp, Platform: hetPl(9), Objective: MinLatency}, forkLimits},
-		{"comm-pipeline", Problem{CommPipeline: &commPipe, Bandwidth: bw, Platform: hetPl(9), Objective: MinLatency}, forkLimits},
-		{"comm-fork", Problem{CommFork: &commFork, Bandwidth: bw, Platform: hetPl(7), Objective: MinLatency}, forkLimits},
+			Options{MaxExhaustivePipelineProcs: 14}, false},
+		{"sp-blocks", Problem{SP: &sp, Platform: hetPl(9), Objective: MinLatency}, forkLimits, false},
+		{"comm-pipeline", Problem{CommPipeline: &commPipe, Bandwidth: bw, Platform: hetPl(9), Objective: MinLatency}, forkLimits, false},
+		{"comm-fork", Problem{CommFork: &commFork, Bandwidth: bw, Platform: hetPl(7), Objective: MinLatency}, forkLimits, false},
+		{"pipeline-front", Problem{Pipeline: &longPipe, Platform: platform.New(3.1, 1.2, 2.3, 5.4, 1.5, 4.6), AllowDataParallel: true},
+			Options{}, true},
 	}
 }
 
 // TestMidScanCancellation cancels every exhaustive scan about 20ms into
-// a search whose full run takes seconds: the fork and fork-join
+// a search whose full run takes far longer: the fork and fork-join
 // partition scans, the pipeline bitmask DP, the SP block scan, the
-// comm-pipeline interval walk and the comm-fork block scan. Each must
-// return context.Canceled long before the full search would finish.
+// comm-pipeline interval walk, the comm-fork block scan and the label
+// pass of a sweep's front oracle. Each must return context.Canceled long
+// before the full search would finish.
 func TestMidScanCancellation(t *testing.T) {
 	for _, c := range cancelCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -74,10 +87,18 @@ func TestMidScanCancellation(t *testing.T) {
 			defer cancel()
 			time.AfterFunc(20*time.Millisecond, cancel)
 			start := time.Now()
-			sol, err := SolveContext(ctx, c.pr, c.opts)
+			var err error
+			if c.sweep {
+				var plan SweepPlan
+				if plan, err = PlanSweep(c.pr, c.opts); err == nil {
+					err = plan.FindFront(ctx)
+				}
+			} else {
+				_, err = SolveContext(ctx, c.pr, c.opts)
+			}
 			elapsed := time.Since(start)
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("solve returned (%v, %v) after %v, want context.Canceled", sol.Method, err, elapsed)
+				t.Fatalf("returned %v after %v, want context.Canceled", err, elapsed)
 			}
 			if elapsed > 400*time.Millisecond {
 				t.Fatalf("cancellation took %v to land", elapsed)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -70,6 +71,15 @@ type KindSpec struct {
 	// candidates only coarsen the front between points, and the sweep
 	// keeps its probe. Nil means the kind does not support Pareto sweeps.
 	CandidatePeriods func(pr Problem) (periods []float64, complete bool)
+	// FrontPeriods is the front oracle of the kind's exact sweeps: from
+	// one exponential pass over the instance, the periods of every point
+	// of its exact Pareto front, ascending — possibly a few more, never
+	// fewer. PlanSweep attaches it only to probe-free exact sweeps whose
+	// LatencyUnderPeriod cell is NP-hard, and SweepPlan.FindFront runs
+	// it, so the sweep solves just the candidates it names; polynomial
+	// cells never pay for the pass. Nil means the kind's sweeps go
+	// without an oracle.
+	FrontPeriods func(ctx context.Context, pr Problem) ([]float64, error)
 	// Anytime is the budget-bounded portfolio solver of the kind's
 	// NP-hard cells. Nil means a positive AnytimeBudget falls through to
 	// the registered cell solver.

@@ -53,13 +53,24 @@ func ParetoFrontWith(ctx context.Context, pr Problem, opts Options, batch BatchS
 	if err != nil {
 		return nil, err
 	}
+	if err := plan.FindFront(ctx); err != nil {
+		return nil, err
+	}
 	opts = opts.Normalized()
 
-	// Solve every candidate-period subproblem up front: they are mutually
-	// independent, so a concurrent batch solver can fan them out.
-	subs := make([]Problem, len(plan.Candidates))
-	for i, k := range plan.Candidates {
-		subs[i] = plan.Problem.withGoal(LatencyUnderPeriod, k)
+	// Solve every candidate-period subproblem up front (only the front
+	// oracle's, when the plan has one): they are mutually independent, so
+	// a concurrent batch solver can fan them out.
+	solve := plan.Front
+	if solve == nil {
+		solve = make([]int, len(plan.Candidates))
+		for i := range solve {
+			solve[i] = i
+		}
+	}
+	subs := make([]Problem, len(solve))
+	for j, i := range solve {
+		subs[j] = plan.Problem.withGoal(LatencyUnderPeriod, plan.Candidates[i])
 	}
 	sols, err := batch(ctx, subs, opts)
 	if err != nil {
@@ -105,6 +116,61 @@ type SweepPlan struct {
 	// Tighten reports that each accepted point needs a
 	// PeriodUnderLatency probe at its latency.
 	Tighten bool
+	// Front, once FindFront has run the plan's oracle, lists the
+	// candidates worth solving, ascending indices into Candidates: the
+	// kind's front oracle (KindSpec.FrontPeriods) named a front point at
+	// each. Every other candidate would be discarded by the dominance
+	// walk, so a sweep may skip it. Each oracle period P maps to the
+	// smallest candidate c with numeric.GreaterEq(c, P), the candidate at
+	// which the walk over every candidate first meets that point: the
+	// candidates and the oracle compute one period by different float
+	// operations. Candidates stays the whole set, so progress still
+	// counts against it. Nil means every candidate is eligible.
+	Front []int
+	// oracle is the kind's front oracle when the plan may use one.
+	oracle func(ctx context.Context, pr Problem) ([]float64, error)
+}
+
+// Oracle reports whether the plan has a front oracle for FindFront to
+// run.
+func (p *SweepPlan) Oracle() bool { return p.oracle != nil }
+
+// FindFront runs the plan's front oracle, if it has one and Front is
+// not yet set, and sets Front. The oracle is one exponential pass, so a
+// caller that kept an earlier answer for the instance may set Front
+// itself and skip it.
+func (p *SweepPlan) FindFront(ctx context.Context) error {
+	if p.oracle == nil || p.Front != nil {
+		return nil
+	}
+	periods, err := p.oracle(ctx, p.Problem)
+	if err != nil {
+		return err
+	}
+	c := 0
+	for _, period := range periods {
+		c = p.Index(period, c)
+		if c == len(p.Candidates) {
+			// A period beyond every candidate, which a complete set
+			// rules out: solve every candidate instead.
+			p.Front = nil
+			return nil
+		}
+		if len(p.Front) == 0 || p.Front[len(p.Front)-1] != c {
+			p.Front = append(p.Front, c)
+		}
+	}
+	return nil
+}
+
+// Index returns the smallest candidate index i >= from with
+// numeric.GreaterEq(Candidates[i], period), or len(Candidates) when
+// there is none.
+func (p *SweepPlan) Index(period float64, from int) int {
+	for from < len(p.Candidates) && !numeric.GreaterEq(p.Candidates[from], period) {
+		from++
+	}
+	return from
 }
 
 // PlanSweep normalizes the instance for a sweep and plans it. An
@@ -127,6 +193,10 @@ type SweepPlan struct {
 // corpus pins that it returns the same solution byte for byte. Every
 // other sweep — heuristic, budgeted on an NP-hard cell, or over a coarse
 // candidate set — keeps the probe.
+//
+// A probe-free sweep whose LatencyUnderPeriod cell is NP-hard also gets
+// the kind's front oracle, when it has one, for FindFront to run.
+// Polynomial cells never pay for the oracle's exponential pass.
 func PlanSweep(pr Problem, opts Options) (SweepPlan, error) {
 	pr, err := NormalizeSweep(pr)
 	if err != nil {
@@ -140,12 +210,16 @@ func PlanSweep(pr Problem, opts Options) (SweepPlan, error) {
 	cands, complete := spec.CandidatePeriods(pr)
 	lup, pul := pr.withGoal(LatencyUnderPeriod, 1), pr.withGoal(PeriodUnderLatency, 1)
 	exact := ExactlySolvable(lup, opts) && ExactlySolvable(pul, opts)
-	return SweepPlan{
+	plan := SweepPlan{
 		Problem:    pr,
 		Candidates: cands,
 		Exact:      exact,
 		Tighten:    !exact || !complete || !servedAlike(CellKeyOf(lup), CellKeyOf(pul)),
-	}, nil
+	}
+	if !plan.Tighten && len(cands) > 0 && !ClassifyCell(CellKeyOf(lup)).Complexity.Polynomial() {
+		plan.oracle = spec.FrontPeriods
+	}
+	return plan, nil
 }
 
 // servedAlike reports whether two dispatch cells register the same

@@ -42,7 +42,10 @@ func init() {
 		Classify:         classifyLegacy,
 		ExactlySolvable:  pipelineInLimits,
 		CandidatePeriods: pipelineCandidatePeriods,
-		Anytime:          solvePipelineAnytime,
+		FrontPeriods: func(ctx context.Context, pr Problem) ([]float64, error) {
+			return exhaustive.NewPipelinePrepared(*pr.Pipeline, pr.Platform, pr.AllowDataParallel).FrontPeriods(ctx)
+		},
+		Anytime: solvePipelineAnytime,
 		SeedMix: func(pr Problem, mix func(float64)) {
 			for _, w := range pr.Pipeline.Weights {
 				mix(w)

@@ -52,6 +52,10 @@ type cacheEntry struct {
 	// the second-chance bit that keeps hot fingerprints alive across an
 	// eviction cycle.
 	used atomic.Bool
+	// front is the front oracle's answer (core.SweepPlan.Front) kept on
+	// the entry of a sweep problem's MinPeriod solve; guarded by
+	// Engine.mu.
+	front []int
 }
 
 // New returns an Engine running at most workers concurrent solves;
@@ -544,6 +548,41 @@ func batchPool(problems []core.Problem, opts core.Options) *preparedPool {
 		}
 	}
 	return newPreparedPool(problems[0], opts)
+}
+
+// front returns the front oracle's answer kept on the cache entry at
+// key (see keepFront), or nil.
+func (e *Engine) front(key string) []int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if en, ok := e.cache[key]; ok {
+		return en.front
+	}
+	return nil
+}
+
+// keepFront keeps a sweep's front oracle answer on the cache entry of the
+// sweep problem's MinPeriod solve at key, so it lives and is evicted with
+// that entry.
+func (e *Engine) keepFront(key string, front []int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if en, ok := e.cache[key]; ok {
+		en.front = front
+	}
+}
+
+// onSlot runs fn on an engine solve slot, so work a sweep does outside
+// the cache (its front oracle) still counts against the worker limit. fn
+// must not wait on other engine solves.
+func (e *Engine) onSlot(ctx context.Context, fn func() error) error {
+	select {
+	case e.sem <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	defer func() { <-e.sem }()
+	return fn()
 }
 
 // dropEntry removes the given entry from the cache iff it is still the

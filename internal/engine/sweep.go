@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 
 	"repliflow/internal/core"
 	"repliflow/internal/numeric"
@@ -99,9 +100,12 @@ func (e *Engine) SweepFront(ctx context.Context, pr core.Problem, opts core.Opti
 	}
 
 	var runErr error
-	if plan.Exact {
+	switch {
+	case plan.Oracle():
+		runErr = s.runFront(ctx, &plan)
+	case plan.Exact:
 		runErr = s.runPruned(ctx)
-	} else {
+	default:
 		lup := core.CellKeyOf(pr)
 		lup.Objective = core.LatencyUnderPeriod
 		if opts.AnytimeBudget > 0 && !core.ClassifyCell(lup).Complexity.Polynomial() {
@@ -290,6 +294,79 @@ func (s *sweeper) runPruned(ctx context.Context) error {
 		if err := s.drain(ctx); err != nil {
 			return err
 		}
+	}
+	return s.drain(ctx)
+}
+
+// runFront is the exact sweep of a plan with a front oracle: it solves
+// only the front candidates, smallest first, in rounds of one per
+// worker. Every candidate between two solved ones is skipped — the
+// serial walk would discard it — and the emission walk drains after each
+// round, so the resolved prefix and with it the emitted front still grow
+// from the left: a deadline leaves a prefix of the front, and a completed
+// sweep has resolved every candidate.
+//
+// The first front point is the least latency at the minimum period, the
+// sweep's first feasible candidate, so it is solved and streamed before
+// the oracle's pass runs: the sweep problem's own MinPeriod solve places
+// it. That solve's cache entry also keeps the oracle's answer, so a
+// re-sweep on a warm engine answers from the cache without the pass.
+func (s *sweeper) runFront(ctx context.Context, plan *core.SweepPlan) error {
+	fastest, err := s.e.solveVia(ctx, s.pr, s.opts, s.via)
+	if err != nil {
+		return err
+	}
+	prev := -1
+	if fastest.Feasible {
+		// Candidates below the minimum period are infeasible. The margin
+		// keeps the first feasible candidate even where the solver's
+		// period and the evaluated one differ in their last bits.
+		p := fastest.Cost.Period
+		first := plan.Index(p-2*numeric.Eps*math.Max(1, p), 0)
+		if first < len(s.cands) {
+			if err := s.solveIdx(ctx, []int{first}); err != nil {
+				return err
+			}
+			s.skipInterior(-1, first)
+			prev = first
+			if err := s.drain(ctx); err != nil {
+				return err
+			}
+		}
+	}
+	key := Fingerprint(s.pr, s.opts)
+	if plan.Front = s.e.front(key); plan.Front == nil {
+		if err := s.e.onSlot(ctx, func() error { return plan.FindFront(ctx) }); err != nil {
+			return err
+		}
+		if plan.Front == nil {
+			// No usable oracle answer: every candidate stays eligible.
+			return s.runPruned(ctx)
+		}
+		s.e.keepFront(key, plan.Front)
+	}
+	var rest []int
+	for _, i := range plan.Front {
+		if i > prev {
+			rest = append(rest, i)
+		}
+	}
+	for start := 0; start < len(rest); start += s.e.workers {
+		round := rest[start:min(start+s.e.workers, len(rest))]
+		if err := s.solveIdx(ctx, round); err != nil {
+			return err
+		}
+		for _, i := range round {
+			s.skipInterior(prev, i)
+			prev = i
+		}
+		if err := s.drain(ctx); err != nil {
+			return err
+		}
+	}
+	s.skipInterior(prev, len(s.cands))
+	if s.obs.Progress != nil {
+		s.obs.Progress(s.explored, len(s.cands))
 	}
 	return s.drain(ctx)
 }

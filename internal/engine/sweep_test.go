@@ -227,9 +227,11 @@ func candidateSolves(e *Engine, plan core.SweepPlan, opts core.Options) int {
 
 // TestSweepFrontSolveCount guards the solves an exact sweep issues: on
 // a fixed 8-stage heterogeneous data-parallel pipeline over 6 processors
-// every cache miss is a candidate the divide-and-conquer solved, and no
-// PeriodUnderLatency probe runs. A one-port fork sweep, whose candidate
-// set is coarse, still probes every point it accepts.
+// the front oracle names exactly the front's candidates, so the sweep
+// runs one LatencyUnderPeriod solve per point, plus the MinPeriod solve
+// that places the first point, and no PeriodUnderLatency probe. A
+// re-sweep on the same engine solves nothing. A one-port fork sweep,
+// whose candidate set is coarse, still probes every point it accepts.
 func TestSweepFrontSolveCount(t *testing.T) {
 	pipe := workflow.NewPipeline(14, 4, 2, 4, 7, 3, 9, 5)
 	pr := core.Problem{Pipeline: &pipe, Platform: platform.New(5, 4, 3, 2, 2, 1), AllowDataParallel: true}
@@ -238,17 +240,22 @@ func TestSweepFrontSolveCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Exact || plan.Tighten {
-		t.Fatalf("plan %+v, want an exact sweep without probes", plan)
+	if !plan.Exact || plan.Tighten || !plan.Oracle() {
+		t.Fatalf("plan exact=%v tighten=%v oracle=%v, want an exact sweep with a front oracle and without probes",
+			plan.Exact, plan.Tighten, plan.Oracle())
 	}
 	e := New(2)
 	points, stats := collectSweep(t, e, pr, opts)
 	misses := e.Stats().Misses
-	if solved := candidateSolves(e, plan, opts); misses != uint64(solved) || e.CacheSize() != solved {
-		t.Errorf("%d misses and %d cache entries for %d candidate solves: the sweep ran other solves", misses, e.CacheSize(), solved)
+	if solved := candidateSolves(e, plan, opts); misses != uint64(solved)+1 || e.CacheSize() != solved+1 {
+		t.Errorf("%d misses and %d cache entries for %d candidate solves and one MinPeriod solve: the sweep ran other solves",
+			misses, e.CacheSize(), solved)
 	}
-	if misses >= uint64(stats.Total) {
-		t.Errorf("%d solves for %d candidates: the divide-and-conquer pruned nothing", misses, stats.Total)
+	if misses != uint64(len(points))+1 {
+		t.Errorf("%d solves for %d points: the sweep solved candidates off the front", misses, len(points))
+	}
+	if again, _ := collectSweep(t, e, pr, opts); !reflect.DeepEqual(again, points) || e.Stats().Misses != misses {
+		t.Errorf("warm re-sweep ran %d more solves (same points: %v)", e.Stats().Misses-misses, reflect.DeepEqual(again, points))
 	}
 	if len(points) < 2 {
 		t.Fatalf("front of %d points, want a trade-off", len(points))
@@ -270,5 +277,70 @@ func TestSweepFrontSolveCount(t *testing.T) {
 	}
 	if probes := e.Stats().Misses - uint64(candidateSolves(e, plan, opts)); probes != uint64(len(points)) {
 		t.Errorf("comm-fork sweep ran %d probes for %d points, want one per accepted point", probes, len(points))
+	}
+}
+
+// TestSweepFrontOracleIdentity: a sweep planned with a front oracle
+// solves only the candidates the oracle names, yet emits exactly the
+// front of the walk that solves every candidate and offers each to the
+// dominance accumulator. The corpus is random NP-hard pipelines — half of
+// them with fractional weights and speeds, where the candidates and the
+// oracle compute one period by different float operations — swept on a
+// 2-worker engine.
+func TestSweepFrontOracleIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	ctx := context.Background()
+	trials, oracles := 80, 0
+	if testing.Short() {
+		trials = 20
+	}
+	for trial := 0; trial < trials; trial++ {
+		pipe := workflow.RandomPipeline(rng, 3+rng.Intn(5), 12)
+		pl := platform.Random(rng, 2+rng.Intn(5), 5)
+		if trial%2 == 1 {
+			for i := range pipe.Weights {
+				pipe.Weights[i] += float64(rng.Intn(1000)) / 1000
+			}
+			for i := range pl.Speeds {
+				pl.Speeds[i] += float64(rng.Intn(100)) / 100
+			}
+		}
+		pr := core.Problem{Pipeline: &pipe, Platform: pl, AllowDataParallel: trial%4 < 3}
+		plan, err := core.PlanSweep(pr, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plan.Oracle() {
+			continue // a polynomial cell (homogeneous draw): no oracle
+		}
+		oracles++
+		acc := core.NewFrontAccumulator()
+		var want []core.Solution
+		for _, k := range plan.Candidates {
+			sub := plan.Problem
+			sub.Objective, sub.Bound = core.LatencyUnderPeriod, k
+			sol, err := core.SolveContext(ctx, sub, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if point, ok := acc.Offer(sol, nil); ok {
+				want = append(want, point)
+			}
+		}
+		points, stats := collectSweep(t, New(2), pr, core.Options{})
+		got := make([]core.Solution, len(points))
+		for i, p := range points {
+			got[i] = p.Solution
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (pipe=%v pl=%v dp=%v): oracle sweep diverges from the full walk\noracle: %v\nwalk:   %v",
+				trial, pipe.Weights, pl.Speeds, pr.AllowDataParallel, got, want)
+		}
+		if stats.Explored != stats.Total || stats.Total != len(plan.Candidates) {
+			t.Errorf("trial %d: completed sweep explored %d of %d (%d candidates)", trial, stats.Explored, stats.Total, len(plan.Candidates))
+		}
+	}
+	if oracles < trials*3/4 {
+		t.Fatalf("only %d of %d sweeps ran the front oracle", oracles, trials)
 	}
 }

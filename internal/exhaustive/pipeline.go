@@ -54,6 +54,8 @@ type pipeSolver struct {
 	// prune disables the bound cutoffs when false (the regression tests
 	// compare pruned against unpruned searches byte for byte).
 	prune bool
+	// front is the scratch of the bi-criteria label pass (FrontPeriods).
+	front frontPass
 }
 
 func newPipeSolver(ctx context.Context, p workflow.Pipeline, pl platform.Platform, allowDP bool, periodCap float64, minimizePeriod bool) *pipeSolver {
@@ -279,6 +281,9 @@ type PipelinePrepared struct {
 	// period memoizes the single MinPeriod solve.
 	period    pipeMemo
 	hasPeriod bool
+	// front memoizes the root labels of FrontPeriods' label pass.
+	front    []label
+	hasFront bool
 }
 
 // NewPipelinePrepared returns a prepared solver for the triple. The

@@ -14,15 +14,15 @@ import (
 	"repliflow/internal/instance"
 )
 
-// exactSweepInstance is the staged slow instance of the exact (pruned)
-// sweep path: a 7-stage heterogeneous pipeline on 10 heterogeneous
-// processors, solved exhaustively under a raised limit. The whole sweep
-// takes on the order of a second at GOMAXPROCS=1 while the monotonicity
-// pruning resolves the left end of the candidate list within the first
-// few solves — so the first front point is proven (and must be flushed)
-// long before the sweep completes.
+// exactSweepInstance is the staged slow instance of the exact sweep
+// path: a 9-stage heterogeneous pipeline on 10 heterogeneous processors,
+// solved exhaustively. The sweep solves its first front point (placed by
+// one MinPeriod solve) before the front oracle's label pass and the 12
+// remaining front solves, which take about 0.2s on a 2-vCPU x86-64
+// container — so the first point is proven (and must be flushed) long
+// before the sweep completes.
 const exactSweepInstance = `{
-	"pipeline": {"weights": [14, 4, 2, 4, 7, 3, 9]},
+	"pipeline": {"weights": [14, 4, 2, 4, 7, 3, 9, 5, 6]},
 	"platform": {"speeds": [5, 4, 3, 3, 2, 2, 1, 1, 4, 2]},
 	"allowDataParallel": true`
 

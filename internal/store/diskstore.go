@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -161,45 +162,18 @@ func (d *DiskStore) apply(rec Record) error {
 // compactLocked rewrites the log to the current state — header, one job
 // record per job in creation order, one result record per key in
 // insertion order — fsyncs it, atomically renames it into place and
-// reopens the append handle. Callers hold mu (or own the store
-// exclusively, as Open does).
+// reopens the append handle. Records stream to the temp file through a
+// buffered writer, so the rewrite never holds a copy of the whole log.
+// A failed rewrite removes the temp file and leaves the live log as it
+// was. Callers hold mu (or own the store exclusively, as Open does).
 func (d *DiskStore) compactLocked() error {
 	tmp := d.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	err := d.writeSnapshot(tmp)
+	if err == nil {
+		err = os.Rename(tmp, d.path)
+	}
 	if err != nil {
-		return fmt.Errorf("store: compacting: %w", err)
-	}
-	w := bytes.NewBuffer(nil)
-	w.Write(headerLine)
-	for _, id := range d.order {
-		job := d.jobs[id]
-		line, err := EncodeRecord(Record{V: RecordVersion, Type: RecordJob, Job: &job})
-		if err != nil {
-			f.Close()
-			return err
-		}
-		w.Write(line)
-	}
-	for _, key := range d.resOrd {
-		line, err := EncodeRecord(Record{V: RecordVersion, Type: RecordResult, Key: EncodeKey(key), Result: d.results[key]})
-		if err != nil {
-			f.Close()
-			return err
-		}
-		w.Write(line)
-	}
-	if _, err := f.Write(w.Bytes()); err != nil {
-		f.Close()
-		return fmt.Errorf("store: compacting: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: compacting: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: compacting: %w", err)
-	}
-	if err := os.Rename(tmp, d.path); err != nil {
+		os.Remove(tmp) //nolint:errcheck // best effort: the live log is intact
 		return fmt.Errorf("store: compacting: %w", err)
 	}
 	if d.log != nil {
@@ -210,6 +184,56 @@ func (d *DiskStore) compactLocked() error {
 		return fmt.Errorf("store: reopening log: %w", err)
 	}
 	d.appended = 0
+	return nil
+}
+
+// writeSnapshot writes the current state as a complete log to path and
+// fsyncs it.
+func (d *DiskStore) writeSnapshot(path string) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	err = d.encodeTo(w)
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// encodeTo writes the header and one record per live job and result to
+// w. bufio.Writer errors are sticky, so the caller's Flush reports any
+// failed write.
+func (d *DiskStore) encodeTo(w *bufio.Writer) error {
+	w.Write(headerLine) //nolint:errcheck // sticky: surfaced by Flush
+	for _, id := range d.order {
+		job := d.jobs[id]
+		if err := writeRecord(w, Record{V: RecordVersion, Type: RecordJob, Job: &job}); err != nil {
+			return err
+		}
+	}
+	for _, key := range d.resOrd {
+		if err := writeRecord(w, Record{V: RecordVersion, Type: RecordResult, Key: EncodeKey(key), Result: d.results[key]}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeRecord encodes one record onto w.
+func writeRecord(w *bufio.Writer, rec Record) error {
+	line, err := EncodeRecord(rec)
+	if err != nil {
+		return err
+	}
+	w.Write(line) //nolint:errcheck // sticky: surfaced by Flush
 	return nil
 }
 

@@ -206,3 +206,31 @@ func TestDiskStoreCompaction(t *testing.T) {
 		t.Error("job lost across compaction")
 	}
 }
+
+// TestDiskStoreFailedCompactionRemovesTemp: a compaction whose encode
+// fails (here a result that is not valid JSON, which the append already
+// refused) removes its temp file and leaves the live log as it was.
+func TestDiskStoreFailedCompactionRemovesTemp(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PutResult("good", json.RawMessage(`{"ok":true}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PutResult("bad", json.RawMessage(`{`)); err == nil {
+		t.Fatal("invalid result appended")
+	}
+	if err := d.Close(); err == nil {
+		t.Fatal("compaction encoded an invalid result")
+	}
+	if _, err := os.Stat(filepath.Join(dir, storeFile+".tmp")); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind after a failed compaction (stat: %v)", err)
+	}
+	d = reopen(t, nil, dir)
+	defer d.Close()
+	if res, ok, _ := d.GetResult("good"); !ok || string(res) != `{"ok":true}` {
+		t.Errorf("good result = %s, %v after the failed compaction", res, ok)
+	}
+}
